@@ -14,11 +14,13 @@
 // and run in reverse construction order at Arena destruction — the same
 // order a stack of unique_ptr members would produce.
 //
-// Arenas are not thread-safe; elaboration is single-threaded.
+// Arenas are not thread-safe; elaboration is single-threaded. The pool that
+// recycles their standard chunks is shared and mutex-guarded.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -104,8 +106,36 @@ class Arena {
     void (*fn)(void*);
   };
 
+  // Standard-size chunks are recycled through a process-wide free list
+  // instead of going back to malloc. Clusters are built and torn down over
+  // and over (sweeps, the simulation service); once glibc's dynamic mmap
+  // threshold rises above the chunk size, freed chunks would otherwise stay
+  // in its per-thread heaps and fragment around long-lived small
+  // allocations, so peak RSS would track heap layout instead of live memory.
+  struct ChunkPool {
+    static constexpr std::size_t kMaxChunks = 64;
+    std::mutex mu;
+    std::vector<unsigned char*> chunks;
+  };
+  static ChunkPool& pool() {
+    // Never destroyed: an Arena may die during static destruction.
+    static ChunkPool* p = new ChunkPool;
+    return *p;
+  }
+
   struct Free {
-    void operator()(unsigned char* p) const { ::operator delete[](p, std::align_val_t(kChunkAlign)); }
+    bool pooled = false;
+    void operator()(unsigned char* p) const {
+      if (pooled) {
+        ChunkPool& cp = pool();
+        std::lock_guard<std::mutex> lock(cp.mu);
+        if (cp.chunks.size() < ChunkPool::kMaxChunks) {
+          cp.chunks.push_back(p);
+          return;
+        }
+      }
+      ::operator delete[](p, std::align_val_t(kChunkAlign));
+    }
   };
 
   void grow(std::size_t size, std::size_t align) {
@@ -113,9 +143,21 @@ class Arena {
     // fresh standard chunk so later small allocations stay dense.
     std::size_t want = size + align;
     std::size_t cap = want > chunk_bytes_ ? want : chunk_bytes_;
-    auto* raw = static_cast<unsigned char*>(
-        ::operator new[](cap, std::align_val_t(kChunkAlign)));
-    chunks_.emplace_back(raw);
+    const bool pooled = cap == kDefaultChunkBytes;
+    unsigned char* raw = nullptr;
+    if (pooled) {
+      ChunkPool& cp = pool();
+      std::lock_guard<std::mutex> lock(cp.mu);
+      if (!cp.chunks.empty()) {
+        raw = cp.chunks.back();
+        cp.chunks.pop_back();
+      }
+    }
+    if (raw == nullptr) {
+      raw = static_cast<unsigned char*>(
+          ::operator new[](cap, std::align_val_t(kChunkAlign)));
+    }
+    chunks_.emplace_back(raw, Free{pooled});
     chunk_cap_ = cap;
     chunk_cap_approx_ = chunk_bytes_;
     cursor_ = 0;

@@ -1,7 +1,10 @@
 #pragma once
 // Small constexpr bit-manipulation helpers used by the address map, the
-// scrambler, and the butterfly-network index arithmetic.
+// scrambler, the butterfly-network index arithmetic and the switches'
+// round-robin arbiters.
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace mempool {
@@ -45,6 +48,25 @@ constexpr uint32_t radix_digit(uint32_t v, unsigned i, unsigned digit_bits) {
 /// Round @p v up to the next multiple of @p align (align must be pow2).
 constexpr uint32_t align_up(uint32_t v, uint32_t align) {
   return (v + align - 1) & ~(align - 1);
+}
+
+/// Round-robin grant over a request mask of @p words 64-bit words: the index
+/// of the first set bit at or after @p start, wrapping around to bit 0. The
+/// mask must have at least one bit set and @p start must lie inside it.
+constexpr std::size_t first_set_from(const uint64_t* mask, std::size_t words,
+                                     std::size_t start) {
+  const std::size_t sw = start / 64;
+  const uint64_t tail = mask[sw] & (~uint64_t{0} << (start % 64));
+  if (tail != 0) {
+    return sw * 64 + static_cast<std::size_t>(std::countr_zero(tail));
+  }
+  for (std::size_t k = 1; k <= words; ++k) {
+    const std::size_t w = (sw + k) % words;
+    if (mask[w] != 0) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(mask[w]));
+    }
+  }
+  return start;  // unreachable for a non-empty mask
 }
 
 }  // namespace mempool

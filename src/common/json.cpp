@@ -347,9 +347,15 @@ struct Parser {
     return Json(d);
   }
 
-  Json parse_value() {
+  /// Parse the value at the cursor, which sits inside @p depth open
+  /// arrays/objects.
+  Json parse_value(int depth = 0) {
     skip_ws();
-    switch (peek()) {
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth >= Json::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+    }
+    switch (c) {
       case '{': {
         ++pos;
         Json obj = Json::object();
@@ -360,7 +366,7 @@ struct Parser {
           std::string key = parse_string();
           skip_ws();
           expect(':');
-          obj.set(key, parse_value());
+          obj.set(key, parse_value(depth + 1));
           skip_ws();
           if (peek() == ',') { ++pos; continue; }
           expect('}');
@@ -373,7 +379,7 @@ struct Parser {
         skip_ws();
         if (peek() == ']') { ++pos; return arr; }
         while (true) {
-          arr.push_back(parse_value());
+          arr.push_back(parse_value(depth + 1));
           skip_ws();
           if (peek() == ',') { ++pos; continue; }
           expect(']');

@@ -86,6 +86,11 @@ class Json {
   /// Serialize. @p indent > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
 
+  /// Arrays and objects nested deeper than this are a parse error: the
+  /// parser recurses once per level, so the bound keeps hostile input (a
+  /// line of 100k '[') from overflowing the stack.
+  static constexpr int kMaxDepth = 512;
+
   /// Parse a complete JSON document (trailing garbage is an error).
   static Json parse(const std::string& text);
 

@@ -1,6 +1,5 @@
 #include "noc/butterfly.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -15,6 +14,12 @@ unsigned shuffle(unsigned p, unsigned layers, unsigned radix_bits, unsigned n) {
   const unsigned top = p >> ((layers - 1) * radix_bits);
   return ((p << radix_bits) | top) & (n - 1);
 }
+
+/// Inverse of shuffle: right-rotate the digit string.
+unsigned unshuffle(unsigned q, unsigned layers, unsigned radix_bits) {
+  const unsigned low = q & ((1u << radix_bits) - 1u);
+  return (q >> radix_bits) | (low << ((layers - 1) * radix_bits));
+}
 }  // namespace
 
 ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
@@ -28,7 +33,7 @@ ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
       layers_(static_cast<unsigned>(layer_modes.size())),
       dst_of_(std::move(dst_of)),
       out_(num_endpoints, nullptr) {
-  MEMPOOL_CHECK(is_pow2(radix) && radix >= 2);
+  MEMPOOL_CHECK(is_pow2(radix) && radix >= 2 && radix <= 64);
   MEMPOOL_CHECK(is_pow2(num_endpoints));
   const unsigned want_layers =
       log2_exact(num_endpoints) / log2_exact(radix);
@@ -40,7 +45,8 @@ ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
   buf_.resize(layers_);
   occ_words_ = (n_ + 63) / 64;
   occ_.assign(layers_ * occ_words_, 0);
-  arb_scratch_.assign(occ_words_, 0);
+  slot_req_.assign(n_, 0);
+  slots_.reserve(n_);
   for (unsigned l = 0; l < layers_; ++l) {
     buf_[l].reserve_exact(n_, arena);
     for (std::size_t p = 0; p < n_; ++p) {
@@ -54,10 +60,7 @@ ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
   in_sinks_.reserve(n_);
   for (std::size_t p = 0; p < n_; ++p) in_sinks_.emplace_back(buf_[0][p]);
 
-  rr_.resize(layers_);
-  for (unsigned l = 0; l < layers_; ++l) {
-    rr_[l].assign((n_ / radix_) * radix_, 0);
-  }
+  rr_.assign(layers_ * n_, 0);
   traversals_.assign(layers_, 0);
 }
 
@@ -103,98 +106,67 @@ unsigned ButterflyNet::stage_hop(unsigned pos, unsigned dst, unsigned l,
 }
 
 void ButterflyNet::evaluate(uint64_t /*cycle*/) {
+  const auto n = static_cast<unsigned>(n_);
   // Process layers in order so that a packet can ripple through consecutive
   // combinational layers within one cycle.
   for (unsigned l = 0; l < layers_; ++l) {
     auto& layer = buf_[l];
-    // Per-switch arbitration: visit switches; each switch covers the r lines
-    // whose shuffled position falls inside it. We iterate over the occupied
-    // line positions, bucket candidates per (switch, digit), then grant.
-    struct Cand {
-      unsigned line;
-      unsigned next;  // line position after this stage (winner's destination)
-      unsigned slot;  // (sw * radix + digit), arbitration domain
-      unsigned sw_in; // input index within the switch (for round-robin)
-    };
-    // Collect candidates: set bits of the layer's occupancy mask, in
-    // ascending line order (identical to the historical full scan).
-    static thread_local std::vector<Cand> cands;
-    cands.clear();
+    // Arbitration domain: the slot (switch * radix + output digit) a head
+    // packet requests. Visit the occupied lines in ascending order (set bits
+    // of the layer's occupancy mask) and record each request as bit sw_in
+    // (its input index within the switch) of its slot's mask; slots_ lists
+    // the requested slots in first-seen order, which is the grant order.
     for (std::size_t wi = 0; wi < occ_words_; ++wi) {
       for (uint64_t m = occ_[l * occ_words_ + wi]; m != 0; m &= m - 1) {
         const auto p = static_cast<unsigned>(wi * 64 + std::countr_zero(m));
-        const Packet& pkt = layer[p].front();
-        const unsigned dst = dst_of_(pkt);
+        const unsigned dst = dst_of_(layer[p].front());
         MEMPOOL_CHECK_MSG(dst < n_, name() << ": endpoint " << dst
                                            << " out of range " << n_);
-        const unsigned q =
-            shuffle(p, layers_, radix_bits_, static_cast<unsigned>(n_));
-        const unsigned sw = q / radix_;
+        const unsigned q = shuffle(p, layers_, radix_bits_, n);
         const unsigned digit = radix_digit(dst, layers_ - 1 - l, radix_bits_);
-        cands.push_back({p, sw * radix_ + digit, sw * radix_ + digit,
-                         q % radix_});
+        const unsigned slot = (q & ~(radix_ - 1u)) | digit;
+        if (slot_req_[slot] == 0) slots_.push_back(slot);
+        slot_req_[slot] |= 1ull << (q & (radix_ - 1u));
       }
     }
-    if (cands.empty()) continue;
 
-    // Grant per arbitration slot using round-robin over switch inputs.
-    // Candidates with the same slot compete; the winner moves. The winner
-    // carries its own destination (all members of a slot group share it by
-    // construction — slot == next — but the grant must never borrow another
-    // candidate's routing). Slots span (n_+63)/64 request-mask words.
-    std::fill(arb_scratch_.begin(), arb_scratch_.end(), 0);
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      const unsigned slot = cands[i].slot;
-      uint64_t& arb_word = arb_scratch_[slot / 64];
-      const uint64_t slot_bit = 1ull << (slot % 64);
-      if ((arb_word & slot_bit) != 0) continue;  // group already granted
-      arb_word |= slot_bit;
-      // Gather all candidates for this slot (cands are in line order, so
-      // same-slot entries are not necessarily adjacent; scan forward).
-      unsigned best_line = cands[i].line;
-      unsigned best_in = cands[i].sw_in;
-      unsigned best_next = cands[i].next;
-      unsigned best_dist = (cands[i].sw_in + radix_ - rr_[l][slot]) % radix_;
-      std::size_t group = 1;
-      for (std::size_t j = i + 1; j < cands.size(); ++j) {
-        if (cands[j].slot != slot) continue;
-        ++group;
-        const unsigned dist = (cands[j].sw_in + radix_ - rr_[l][slot]) % radix_;
-        if (dist < best_dist) {
-          best_dist = dist;
-          best_line = cands[j].line;
-          best_in = cands[j].sw_in;
-          best_next = cands[j].next;
-        }
-      }
-
-      // Move the winner to ITS destination: the next layer's input buffer, or
-      // the endpoint sink after the last layer.
-      PacketBuffer* next_buf =
-          (l + 1 < layers_) ? &buf_[l + 1][best_next] : nullptr;
+    // Grant per slot: the first requesting switch input at or after the
+    // slot's round-robin pointer wins and moves to the slot's line position
+    // (every member of a slot shares that destination by construction).
+    for (const unsigned slot : slots_) {
+      const uint64_t req = slot_req_[slot];
+      slot_req_[slot] = 0;
+      const auto group = static_cast<std::size_t>(std::popcount(req));
+      uint32_t& rr = rr_[l * n_ + slot];
+      // The destination: the next layer's input buffer, or the endpoint sink
+      // after the last layer.
+      PacketBuffer* next_buf = (l + 1 < layers_) ? &buf_[l + 1][slot] : nullptr;
       PacketSink* out_sink = nullptr;
       if (next_buf == nullptr) {
-        MEMPOOL_CHECK_MSG(out_[best_next] != nullptr,
-                          name() << ": output " << best_next
-                                 << " not connected");
-        out_sink = out_[best_next];
+        MEMPOOL_CHECK_MSG(out_[slot] != nullptr,
+                          name() << ": output " << slot << " not connected");
+        out_sink = out_[slot];
       }
       const bool ready =
           next_buf != nullptr ? next_buf->can_accept() : out_sink->can_accept();
-      if (ready) {
-        const Packet granted = layer[best_line].pop();
-        if (next_buf != nullptr) {
-          next_buf->push(granted);
-        } else {
-          out_sink->push(granted);
-        }
-        ++traversals_[l];
-        blocked_ += group - 1;
-        rr_[l][slot] = (best_in + 1u) % radix_;
-      } else {
+      if (!ready) {
         blocked_ += group;
+        continue;
       }
+      const auto sw_in = static_cast<unsigned>(first_set_from(&req, 1, rr));
+      const unsigned line =
+          unshuffle((slot & ~(radix_ - 1u)) | sw_in, layers_, radix_bits_);
+      const Packet granted = layer[line].pop();
+      if (next_buf != nullptr) {
+        next_buf->push(granted);
+      } else {
+        out_sink->push(granted);
+      }
+      ++traversals_[l];
+      blocked_ += group - 1;
+      rr = (sw_in + 1u) % radix_;
     }
+    slots_.clear();
   }
 }
 
@@ -221,9 +193,7 @@ void ButterflyNet::save_state(StateSink& s) const {
   for (const auto& layer : buf_) {
     for (const PacketBuffer& buf : layer) buf.save_state(s);
   }
-  for (const auto& layer_rr : rr_) {
-    for (const uint32_t r : layer_rr) s.u32(r);
-  }
+  for (const uint32_t r : rr_) s.u32(r);
   for (const uint64_t t : traversals_) s.u64(t);
   s.u64(blocked_);
 }
@@ -234,9 +204,7 @@ void ButterflyNet::load_state(StateSource& s) {
   for (auto& layer : buf_) {
     for (PacketBuffer& buf : layer) buf.load_state(s);
   }
-  for (auto& layer_rr : rr_) {
-    for (uint32_t& r : layer_rr) r = s.u32();
-  }
+  for (uint32_t& r : rr_) r = s.u32();
   for (uint64_t& t : traversals_) t = s.u64();
   blocked_ = s.u64();
 }

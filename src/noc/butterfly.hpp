@@ -90,11 +90,16 @@ class ButterflyNet final : public Component {
   // layer. One word per 64 lines (N > 64 spans several words).
   std::size_t occ_words_ = 1;
   std::vector<uint64_t> occ_;
-  std::vector<uint64_t> arb_scratch_;  // slots arbitrated this layer
+  // Per-layer arbitration scratch: slot_req_[slot] bit sw_in set iff switch
+  // input sw_in requests that slot; slots_ lists requested slots in
+  // first-seen (ascending line) order. Both are empty between layers.
+  std::vector<uint64_t> slot_req_;
+  std::vector<unsigned> slots_;
   std::vector<BufferSink<PacketBuffer>> in_sinks_;
   std::vector<PacketSink*> out_;
-  // rr_[l][switch][digit]: round-robin pointer per layer/switch/output.
-  std::vector<std::vector<uint32_t>> rr_;
+  // rr_[l * n_ + switch * radix_ + digit]: round-robin pointer per
+  // layer/switch/output (checkpointed in this order).
+  std::vector<uint32_t> rr_;
   std::vector<uint64_t> traversals_;
   uint64_t blocked_ = 0;
 };

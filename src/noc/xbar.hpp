@@ -82,9 +82,9 @@ class XbarSwitch final : public Component {
   std::vector<BufferSink<PacketBuffer>> in_sinks_;
   std::vector<PacketSink*> out_;
   std::vector<uint32_t> rr_;            // round-robin pointer per output
-  std::vector<std::vector<uint16_t>> cand_;  // scratch: candidates per output
   RouteFn route_;
   std::vector<uint64_t> occ_;      ///< Bit i: input i holds a visible packet.
+  std::vector<uint64_t> req_;      ///< Scratch: per-output input request masks.
   std::vector<uint64_t> out_req_;  ///< Scratch: outputs with candidates.
   uint64_t traversals_ = 0;
   uint64_t blocked_ = 0;

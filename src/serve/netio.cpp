@@ -197,13 +197,27 @@ bool write_all(int fd, const std::string& data) {
 
 bool LineReader::read_line(std::string* line) {
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      line->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+    const std::size_t nl = buf_.find('\n', scan_);
+    if (nl != std::string::npos && nl - head_ <= kMaxLine) {
+      // Consume through an offset: a pipelined burst of lines costs one
+      // copy per line, not one erase of the whole remainder per line.
+      line->assign(buf_, head_, nl - head_);
+      head_ = scan_ = nl + 1;
       return true;
     }
+    if (buf_.size() - head_ > kMaxLine) {
+      eof_ = overflowed_ = true;
+      buf_.clear();
+      head_ = scan_ = 0;
+    }
     if (eof_) return false;
+    scan_ = buf_.size();
+    if (head_ > 0) {
+      // Only a partial line is left: drop the consumed prefix before refill.
+      buf_.erase(0, head_);
+      scan_ -= head_;
+      head_ = 0;
+    }
     seed_faults_from_env();
     const uint64_t op = g_read_ops.fetch_add(1, std::memory_order_relaxed) + 1;
     if (period_hit(g_faults.delay_every, op) && g_faults.delay_ms > 0) {

@@ -3,6 +3,7 @@
 // client. Deliberately minimal: blocking I/O, one helper per failure mode,
 // CheckError (with errno text) on anything unexpected.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -48,15 +49,27 @@ bool write_all(int fd, const std::string& data);
 
 /// Buffered line reader over a blocking fd. read_line strips the trailing
 /// '\n' and returns false on EOF/error with the partial line discarded.
+/// A line longer than kMaxLine also ends the stream (overflowed()
+/// tells the two apart), so a peer that never sends '\n' cannot grow the
+/// buffer without bound.
 class LineReader {
  public:
+  /// Cap on one line; a sim_server request is a few hundred bytes.
+  static constexpr std::size_t kMaxLine = std::size_t{1} << 20;
+
   explicit LineReader(int fd) : fd_(fd) {}
   bool read_line(std::string* line);
+
+  /// True once read_line failed because a line exceeded the cap.
+  bool overflowed() const { return overflowed_; }
 
  private:
   int fd_;
   std::string buf_;
+  std::size_t head_ = 0;  ///< Start of the unconsumed bytes in buf_.
+  std::size_t scan_ = 0;  ///< buf_[head_, scan_) is known to hold no '\n'.
   bool eof_ = false;
+  bool overflowed_ = false;
 };
 
 }  // namespace mempool::serve

@@ -172,6 +172,14 @@ void SimServer::reader_loop(const std::shared_ptr<Conn>& conn) {
     if (line.empty()) continue;
     handle_line(conn, line);
   }
+  if (reader.overflowed()) {
+    // No framing to resynchronize on: answer once, then close this
+    // connection (the daemon keeps serving every other one).
+    respond(conn, error_response(
+                      Json(), "request line exceeds " +
+                                  std::to_string(LineReader::kMaxLine) +
+                                  " bytes; closing the connection"));
+  }
   std::lock_guard<std::mutex> lock(conn->write_mu);
   conn->done_reading = true;
   try_close(*conn);

@@ -18,14 +18,23 @@
 // packet per cycle throughput even though the 'ready' signal is derived from
 // the pre-drain occupancy.
 //
-// Storage: bounded buffers up to kInlineCapacity keep their items in an
-// inline ring (the whole buffer is a few contiguous cache lines — the fabric
-// hot path never chases deque nodes); unbounded buffers (capacity 0, the
-// ideal TopX bank queues) and deeper ones use a contiguous heap- or
-// arena-backed ring. Bounded deep rings are sized once at construction;
-// unbounded rings grow by amortized doubling (never per push), so the hot
-// path stays allocation-free — storage_reallocs() counts the growth events
-// and is pinned by a test.
+// Storage: every item — visible or staged — lives in one power-of-two ring
+// addressed through slot(i) with free-running indices. Bounded buffers up to
+// kInlineCapacity (every fabric skid buffer) use a ring inside the object, so
+// a buffer is a few contiguous cache lines and the hot path never chases a
+// pointer off the object; unbounded buffers (capacity 0, the ideal TopX bank
+// queues) and deeper ones use a heap- or arena-backed ring. Bounded deep
+// rings are sized once at construction; unbounded rings grow by amortized
+// doubling (never per push), so the hot path stays allocation-free —
+// storage_reallocs() counts the growth events and is pinned by a test.
+//
+// Staging in the ring: a registered push writes slot(tail_) and commit only
+// bumps count_, so no item is copied twice. tail_ is written only by the
+// producer (push), head_ and count_ only by the consumer (front/pop) and the
+// commit phase. Under the sharded engine a boundary producer judges space by
+// snap_count_, the start-of-cycle occupancy, so slot(tail_) lies past every
+// slot the consumer can read or pop in the same cycle and the two threads
+// never touch the same item or index.
 //
 // Activity plumbing: the component that owns this buffer as an input sets
 // itself as the consumer; pushes (combinational) and commits (registered)
@@ -67,9 +76,11 @@ inline std::string liveness_summary(const T& /*item*/) {
 template <typename T>
 class ElasticBuffer final : public Clocked {
  public:
-  /// Capacities up to this use the inline ring; 0 (unbounded) and deeper
-  /// buffers use a heap-backed deque.
-  static constexpr std::size_t kInlineCapacity = 4;
+  /// Capacities up to this use the inline ring (sized to the fabric's
+  /// capacity-2 skid buffers); 0 (unbounded) and deeper buffers use an
+  /// out-of-object ring. A power of two, so one mask addresses both.
+  static constexpr std::size_t kInlineCapacity = 2;
+  static_assert((kInlineCapacity & (kInlineCapacity - 1)) == 0);
 
   /// Unbounded rings start here and double on demand.
   static constexpr uint32_t kOverflowInitial = 8;
@@ -83,7 +94,8 @@ class ElasticBuffer final : public Clocked {
   ///                 the arena dies). Elaboration-time only.
   explicit ElasticBuffer(BufferMode mode = BufferMode::kCombinational,
                          std::size_t capacity = 2, Arena* arena = nullptr)
-      : mode_(mode), capacity_(capacity) {
+      : capacity_(static_cast<uint32_t>(capacity)), mode_(mode) {
+    MEMPOOL_CHECK(capacity <= (std::size_t{1} << 31));
     if (capacity_ == 0 || capacity_ > kInlineCapacity) {
       // Bounded deep buffers get their exact power-of-two once and never
       // grow; unbounded ones start small and double.
@@ -92,12 +104,14 @@ class ElasticBuffer final : public Clocked {
         cap = 2;
         while (cap < capacity_) cap <<= 1;
       }
-      overflow_ = alloc_ring(cap, arena, &overflow_heap_);
-      overflow_cap_ = cap;
+      slots_ = alloc_ring(cap, arena, &ring_heap_);
+      mask_ = cap - 1;
     }
   }
 
-  ~ElasticBuffer() override { release_ring(overflow_, overflow_cap_, overflow_heap_); }
+  ~ElasticBuffer() override {
+    if (slots_ != ring_.data()) release_ring(slots_, mask_ + 1, ring_heap_);
+  }
 
   // Non-copyable and non-movable: the engine's commit list, the switches'
   // BufferSink adapters, and the wake plumbing all hold raw pointers to a
@@ -187,7 +201,9 @@ class ElasticBuffer final : public Clocked {
       // At most one push per cycle per buffer: a buffer is fed by exactly one
       // switch output, which grants at most one packet per cycle.
       MEMPOOL_CHECK(!staged_valid_);
-      staged_ = v;
+      // can_accept() (or, unbounded, the free slot kept at every commit)
+      // guarantees slot(tail_) is not a visible item.
+      slot(tail_++) = v;
       staged_valid_ = true;
       ShardLane* lane = current_shard_lane();
       if (lane != nullptr && boundary_ && consumer_shard_ != lane->id) {
@@ -215,13 +231,13 @@ class ElasticBuffer final : public Clocked {
   const T& front() const {
     drc_check_read("front");
     MEMPOOL_CHECK(count_ > 0);
-    return overflow_ != nullptr ? overflow_[head_ & (overflow_cap_ - 1)]
-                                : ring_[head_];
+    return slot(head_);
   }
 
   T pop() {
     drc_check_read("pop");
     MEMPOOL_CHECK(count_ > 0);
+    T v = slot(head_++);
     ++drains_;
     --count_;
     if (count_ == 0) *occ_word_ &= ~occ_mask_;
@@ -237,21 +253,16 @@ class ElasticBuffer final : public Clocked {
         snap_count_ = count_;  // sequential engines: snapshot tracks exactly
       }
     }
-    if (overflow_ != nullptr) {
-      T v = overflow_[head_ & (overflow_cap_ - 1)];
-      ++head_;  // masked on access; cap is pow2, so uint32 wrap is harmless
-      return v;
-    }
-    T v = ring_[head_];
-    head_ = (head_ + 1) % kInlineCapacity;
     return v;
   }
 
-  /// Clock edge: staged item becomes visible (and the consumer must look).
+  /// Clock edge: the staged item, already in slot(head_ + count_), becomes
+  /// visible (and the consumer must look).
   void commit() override {
     if (staged_valid_) {
-      enqueue(staged_);
       staged_valid_ = false;
+      ++count_;
+      keep_free_slot();
       *occ_word_ |= occ_mask_;
       if (consumer_ != nullptr) consumer_->wake();
     }
@@ -280,15 +291,7 @@ class ElasticBuffer final : public Clocked {
                           << consumer_name() << "')");
     s.u32(count_);
     s.u64(drains_);
-    if (overflow_ != nullptr) {
-      for (uint32_t i = 0; i < count_; ++i) {
-        save_item(s, overflow_[(head_ + i) & (overflow_cap_ - 1)]);
-      }
-    } else {
-      for (uint32_t i = 0; i < count_; ++i) {
-        save_item(s, ring_[(head_ + i) % kInlineCapacity]);
-      }
-    }
+    for (uint32_t i = 0; i < count_; ++i) save_item(s, slot(head_ + i));
   }
 
   /// Restore into a freshly built (empty) buffer. Re-derives the occupancy
@@ -299,6 +302,10 @@ class ElasticBuffer final : public Clocked {
     MEMPOOL_CHECK_MSG(count_ == 0 && !staged_valid_,
                       "buffer restore requires a freshly built buffer");
     const uint32_t n = s.u32();
+    MEMPOOL_CHECK_MSG(capacity_ == 0 || n <= capacity_,
+                      "buffer restore of " << n << " items into capacity "
+                                           << capacity_ << " (consumer '"
+                                           << consumer_name() << "')");
     drains_ = s.u64();
     for (uint32_t i = 0; i < n; ++i) {
       T v{};
@@ -335,7 +342,7 @@ class ElasticBuffer final : public Clocked {
     s.capacity = capacity_;
     s.drains = drains_;
     s.consumer = consumer_name();
-    if (count_ > 0) s.head = liveness_summary(front_nocheck());
+    if (count_ > 0) s.head = liveness_summary(slot(head_));
     return s;
   }
 
@@ -388,10 +395,9 @@ class ElasticBuffer final : public Clocked {
   void drc_check_push() const {}
 #endif
 
-  const T& front_nocheck() const {
-    return overflow_ != nullptr ? overflow_[head_ & (overflow_cap_ - 1)]
-                                : ring_[head_];
-  }
+  /// The one ring index computation: free-running index -> storage slot.
+  T& slot(uint32_t i) { return slots_[i & mask_]; }
+  const T& slot(uint32_t i) const { return slots_[i & mask_]; }
 
   static T* alloc_ring(uint32_t cap, Arena* arena, bool* heap_owned) {
     void* storage =
@@ -405,74 +411,73 @@ class ElasticBuffer final : public Clocked {
   }
 
   static void release_ring(T* ring, uint32_t cap, bool heap_owned) {
-    if (ring == nullptr) return;
     for (uint32_t i = cap; i > 0; --i) ring[i - 1].~T();
     if (heap_owned) ::operator delete(ring, std::align_val_t(alignof(T)));
     // Arena-backed storage is reclaimed when the arena dies.
   }
 
-  /// Double the overflow ring (unbounded buffers only). Growth always goes
-  /// to the heap — it can happen mid-simulation, where the single-threaded
-  /// elaboration arena must not be touched.
+  /// Unbounded buffers only: keep one free slot past tail_ whenever an item
+  /// becomes visible, so the next staged push always has room without
+  /// growing — growth then only happens on the consumer's side (commit or a
+  /// same-thread combinational push), never under a cross-shard producer.
+  void keep_free_slot() {
+    if (capacity_ == 0 && tail_ - head_ > mask_) grow_overflow();
+  }
+
+  /// Double the ring. Growth always goes to the heap — it can happen
+  /// mid-simulation, where the single-threaded elaboration arena must not be
+  /// touched.
   void grow_overflow() {
-    const uint32_t new_cap = overflow_cap_ * 2;
+    const uint32_t new_cap = (mask_ + 1) * 2;
+    const uint32_t n = tail_ - head_;
     bool new_heap = false;
     T* fresh = alloc_ring(new_cap, nullptr, &new_heap);
-    for (uint32_t i = 0; i < count_; ++i) {
-      fresh[i] = overflow_[(head_ + i) & (overflow_cap_ - 1)];
-    }
-    release_ring(overflow_, overflow_cap_, overflow_heap_);
-    overflow_ = fresh;
-    overflow_cap_ = new_cap;
-    overflow_heap_ = new_heap;
+    for (uint32_t i = 0; i < n; ++i) fresh[i] = slot(head_ + i);
+    release_ring(slots_, mask_ + 1, ring_heap_);
+    slots_ = fresh;
+    mask_ = new_cap - 1;
+    ring_heap_ = new_heap;
     head_ = 0;
+    tail_ = n;
     ++ring_reallocs_;
   }
 
+  /// Make @p v visible at the tail (combinational push, restore).
   void enqueue(const T& v) {
-    if (overflow_ != nullptr) {
-      if (count_ == overflow_cap_) {
-        // Only unbounded buffers can outgrow their ring: bounded deep ones
-        // are sized to capacity_ at construction and gated by can_accept().
-        MEMPOOL_CHECK(capacity_ == 0);
-        grow_overflow();
-      }
-      overflow_[(head_ + count_) & (overflow_cap_ - 1)] = v;
-    } else {
-      // can_accept() (asserted at push, counted at stage time for commits)
-      // bounds count_ by capacity_ <= kInlineCapacity; re-check so a contract
-      // violation fails loudly instead of wrapping the ring.
-      MEMPOOL_CHECK(count_ < kInlineCapacity);
-      ring_[(head_ + count_) % kInlineCapacity] = v;
-    }
+    slot(tail_++) = v;
     ++count_;
+    keep_free_slot();
   }
 
-  BufferMode mode_;
-  std::size_t capacity_;
-  std::array<T, kInlineCapacity> ring_{};
-  uint32_t head_ = 0;
-  uint32_t count_ = 0;  ///< Visible items (FIFO only, staged excluded).
-  uint64_t drains_ = 0;  ///< Lifetime pop() count (watchdog progress metric).
-  T* overflow_ = nullptr;       ///< Contiguous pow2 ring when deep/unbounded.
-  uint32_t overflow_cap_ = 0;   ///< Power of two; 0 in inline mode.
-  bool overflow_heap_ = false;  ///< Heap-backed (vs arena-backed) storage.
-  uint64_t ring_reallocs_ = 0;  ///< Growth events (see storage_reallocs()).
-  T staged_{};
-  bool staged_valid_ = false;
-  bool boundary_ = false;      ///< Shard-boundary register (snapshot mode).
-  bool drain_marked_ = false;  ///< Already on the consumer lane's drain list.
-  uint32_t consumer_shard_ = 0;
+  // Hot control words first: everything a push, pop or commit touches sits
+  // in the object's first two cache lines, next to the inline ring.
+  T* slots_ = ring_.data();  ///< ring_ or the out-of-object ring.
+  uint32_t mask_ = kInlineCapacity - 1;  ///< Ring size - 1 (power of two).
+  uint32_t head_ = 0;   ///< Consumer: free-running index of the front item.
+  uint32_t count_ = 0;  ///< Consumer: visible items (staged excluded).
+  uint32_t tail_ = 0;   ///< Producer: free-running index of the next push.
   uint32_t snap_count_ = 0;  ///< Producer-visible count (== count_ unless a
                              ///< sharded cycle is between pop and barrier).
+  uint32_t capacity_;   ///< Max occupancy including the staged item; 0 =
+                        ///< unbounded.
+  uint64_t* occ_word_ = &own_occ_;
+  uint64_t occ_mask_ = 1;
   Wakeable* consumer_ = nullptr;
+  uint64_t drains_ = 0;  ///< Lifetime pop() count (watchdog progress metric).
+  BufferMode mode_;
+  bool staged_valid_ = false;  ///< slot(tail_ - 1) holds an uncommitted push.
+  bool boundary_ = false;      ///< Shard-boundary register (snapshot mode).
+  bool drain_marked_ = false;  ///< Already on the consumer lane's drain list.
+  bool ring_heap_ = false;     ///< Out-of-object ring is heap (vs arena).
+  std::array<T, kInlineCapacity> ring_{};
+  // Cold: wiring, diagnostics and checkpoint-only state.
   const char* consumer_name_ = nullptr;
+  uint64_t ring_reallocs_ = 0;  ///< Growth events (see storage_reallocs()).
+  uint64_t own_occ_ = 0;        ///< Fallback occupancy word (unbound).
+  uint32_t consumer_shard_ = 0;
 #if defined(MEMPOOL_DRC)
   int32_t drc_home_ = -1;  ///< Armed home shard; -1 = unchecked.
 #endif
-  uint64_t own_occ_ = 0;          ///< Fallback occupancy word (unbound).
-  uint64_t* occ_word_ = &own_occ_;
-  uint64_t occ_mask_ = 1;
 };
 
 }  // namespace mempool

@@ -41,19 +41,25 @@ constexpr bool op_writes(MemOp op) {
 /// One word-sized transaction, used on both the request and the response
 /// interconnect (direction disambiguated by where it travels; the response
 /// carries the same identity fields so the ROB can match it).
+///
+/// Fields are ordered largest first so the struct packs into 32 bytes with
+/// no padding: every hop copies a packet into an elastic-buffer slot, so its
+/// size sets the fabric's cache footprint. The checkpoint order is fixed
+/// separately by save_item/load_item below.
 struct Packet {
+  uint64_t birth = 0;     ///< Cycle the request was generated (for latency).
   uint32_t addr = 0;      ///< Physical (post-scrambler) byte address.
   uint32_t data = 0;      ///< Store data / AMO operand / response payload.
-  uint8_t be = 0xF;       ///< Byte enables for stores (bit i = byte i).
-  MemOp op = MemOp::kLoad;
+  uint32_t dst_row = 0;   ///< Word row inside the bank.
   uint16_t src = 0;       ///< Global requester index (core or generator).
   uint16_t src_tile = 0;  ///< Tile of the requester (response routing).
   uint16_t dst_tile = 0;  ///< Target tile (request routing).
   uint16_t dst_bank = 0;  ///< Bank inside the target tile.
-  uint32_t dst_row = 0;   ///< Word row inside the bank.
   uint16_t tag = 0;       ///< Requester-local tag (ROB slot / sequence nr).
-  uint64_t birth = 0;     ///< Cycle the request was generated (for latency).
+  uint8_t be = 0xF;       ///< Byte enables for stores (bit i = byte i).
+  MemOp op = MemOp::kLoad;
 };
+static_assert(sizeof(Packet) == 32, "Packet must stay padding-free");
 
 /// Names for diagnostics (liveness reports, traces).
 constexpr const char* mem_op_name(MemOp op) {
@@ -77,7 +83,8 @@ constexpr const char* mem_op_name(MemOp op) {
 
 /// Checkpoint serialization for packets in flight inside elastic buffers
 /// (the ADL pair ElasticBuffer::save_state/load_state look up, mirroring
-/// liveness_summary below).
+/// liveness_summary below). The field order is the mempool.ckpt.v1 wire
+/// order, independent of the struct layout above.
 inline void save_item(StateSink& s, const Packet& p) {
   s.u32(p.addr);
   s.u32(p.data);

@@ -1,6 +1,7 @@
 // Arena (common/arena.hpp): bump-allocation alignment and chunk growth,
-// reverse-order destructor registry, oversized allocations, and the
-// PinnedVector fixed-capacity container for non-movable types.
+// reverse-order destructor registry, oversized allocations, standard-chunk
+// recycling, and the PinnedVector fixed-capacity container for non-movable
+// types.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,26 @@ TEST(Arena, GrowsByChunksAndHonoursOversizedRequests) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % 64, 0u);
   // Subsequent small allocations still succeed.
   EXPECT_NE(a.allocate(16, 8), nullptr);
+}
+
+TEST(Arena, StandardChunksAreRecycledAcrossArenas) {
+  // A standard chunk freed by one arena is the next arena's first chunk, so
+  // rebuilding a cluster reuses its predecessor's memory instead of asking
+  // malloc again; custom-size and oversized chunks are not pooled.
+  void* first = nullptr;
+  {
+    Arena a;
+    first = a.allocate(64, 64);
+  }
+  Arena b;
+  EXPECT_EQ(b.allocate(64, 64), first);
+  void* custom = nullptr;
+  {
+    Arena c(4096);
+    custom = c.allocate(64, 64);
+  }
+  Arena d;
+  EXPECT_NE(d.allocate(64, 64), custom);
 }
 
 TEST(Arena, RejectsAlignmentAboveOneCacheLine) {

@@ -69,6 +69,33 @@ TEST(BitUtil, AlignUp) {
   EXPECT_EQ(align_up(9, 8), 16u);
 }
 
+TEST(BitUtil, FirstSetFromIsARoundRobinPick) {
+  // Against the scalar round-robin rule: among the set bits of an n-bit
+  // mask, the one with the smallest (i - start) mod n wins.
+  Rng rng(3);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t words = 1 + rng.next_below(3);
+    const std::size_t n = 64 * (words - 1) + 1 + rng.next_below(64);
+    uint64_t mask[3] = {0, 0, 0};
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.next_below(4) == 0) mask[i / 64] |= 1ull << (i % 64);
+    }
+    if (mask[0] == 0 && mask[1] == 0 && mask[2] == 0) mask[0] = 1;
+    const std::size_t start = rng.next_below(n);
+    std::size_t want = n, best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((mask[i / 64] >> (i % 64) & 1) == 0) continue;
+      const std::size_t dist = (i + n - start) % n;
+      if (dist < best) {
+        best = dist;
+        want = i;
+      }
+    }
+    ASSERT_EQ(first_set_from(mask, words, start), want)
+        << "words " << words << " n " << n << " start " << start;
+  }
+}
+
 TEST(FixedPoint, RoundTrip) {
   EXPECT_EQ(to_fixed(1.0, 14), 1 << 14);
   EXPECT_EQ(to_fixed(-1.0, 14), -(1 << 14));

@@ -89,6 +89,21 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(Json::parse("'single'"), CheckError);
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), CheckError);
+  // Objects count too, interleaved with arrays.
+  std::string mixed;
+  for (int i = 0; i <= Json::kMaxDepth / 2; ++i) mixed += "{\"a\":[";
+  EXPECT_THROW(Json::parse(mixed), CheckError);
+  // A hostile line of 100k '[' is a parse error, not a stack overflow.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), CheckError);
+}
+
 TEST(Json, TypeMismatchesThrow) {
   EXPECT_THROW(Json(1).as_string(), CheckError);
   EXPECT_THROW(Json("x").as_int(), CheckError);

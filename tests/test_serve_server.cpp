@@ -1,9 +1,11 @@
 // SimServer + SimClient end to end over a real AF_UNIX socket: request /
 // response round trips, cache flags on the wire, protocol error handling
 // (malformed lines and invalid requests answer ok=false without killing the
-// connection or the daemon), id echo, metrics/ping ops, and clean shutdown.
+// connection or the daemon; hostile nesting and over-long lines are refused),
+// id echo, metrics/ping ops, and clean shutdown.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -146,6 +148,81 @@ TEST(SimServer, MalformedLinesGetErrorResponsesAndTheConnectionSurvives) {
   }
   server.stop();
   server.wait();
+}
+
+TEST(SimServer, DeeplyNestedLineAnswersErrorAndTheDaemonKeepsServing) {
+  const std::string path = test_socket("deep");
+  SimServer server(server_config(path));
+  server.start();
+  {
+    const int fd = connect_unix(path, 2000);
+    LineReader reader(fd);
+    std::string line;
+    // 100k '[' used to recurse the parser off the end of the reader
+    // thread's stack and take the whole daemon down.
+    ASSERT_TRUE(write_all(fd, std::string(100000, '[') + "\n"));
+    ASSERT_TRUE(reader.read_line(&line));
+    Json resp = Json::parse(line);
+    EXPECT_FALSE(resp.at("ok").as_bool());
+    EXPECT_NE(resp.at("error").as_string().find("nesting"), std::string::npos);
+
+    ASSERT_TRUE(write_all(fd, "{\"op\": \"ping\", \"id\": 7}\n"));
+    ASSERT_TRUE(reader.read_line(&line));
+    resp = Json::parse(line);
+    EXPECT_TRUE(resp.at("ok").as_bool());
+    EXPECT_EQ(resp.at("id").as_uint(), 7u);
+    ::close(fd);
+
+    SimClient client(path, 2000);
+    EXPECT_TRUE(client.ping());
+    client.shutdown_server();
+  }
+  server.wait();
+}
+
+TEST(SimServer, OverlongLineIsRefusedAndOnlyThatConnectionCloses) {
+  const std::string path = test_socket("overlong");
+  SimServer server(server_config(path));
+  server.start();
+  {
+    SimClient bystander(path, 2000);
+    const int fd = connect_unix(path, 2000);
+    // No newline, past the cap: the server must stop buffering, answer once
+    // and close. The tail of the write may hit the closed socket.
+    (void)write_all(fd, std::string(LineReader::kMaxLine + 8192, 'x'));
+    LineReader reader(fd);
+    std::string line;
+    ASSERT_TRUE(reader.read_line(&line));
+    const Json resp = Json::parse(line);
+    EXPECT_FALSE(resp.at("ok").as_bool());
+    EXPECT_NE(resp.at("error").as_string().find("exceeds"), std::string::npos);
+    EXPECT_FALSE(reader.read_line(&line)) << "connection must be closed";
+    ::close(fd);
+
+    // Other connections, open before or after, are still served.
+    EXPECT_TRUE(bystander.ping());
+    SimClient fresh(path, 2000);
+    EXPECT_TRUE(fresh.ping());
+    fresh.shutdown_server();
+  }
+  server.wait();
+}
+
+TEST(LineReader, PipelinedLinesSplitInOrderAcrossReads) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  LineReader reader(sv[0]);
+  ASSERT_TRUE(write_all(sv[1], "a\nbb\n\nccc"));
+  ASSERT_TRUE(write_all(sv[1], "dd\n12345678\n"));
+  std::string line;
+  for (const char* want : {"a", "bb", "", "cccdd", "12345678"}) {
+    ASSERT_TRUE(reader.read_line(&line));
+    EXPECT_EQ(line, want);
+  }
+  ::close(sv[1]);
+  EXPECT_FALSE(reader.read_line(&line)) << "EOF";
+  EXPECT_FALSE(reader.overflowed());
+  ::close(sv[0]);
 }
 
 TEST(SimServer, InvalidSimulationParametersAnswerStructuredErrors) {

@@ -23,6 +23,14 @@ static_assert(!std::is_move_assignable_v<ElasticBuffer<int>>,
 static_assert(!std::is_copy_constructible_v<ElasticBuffer<Packet>>);
 static_assert(!std::is_copy_assignable_v<ElasticBuffer<Packet>>);
 
+// Every hop copies a Packet into a buffer slot and every switch input is an
+// ElasticBuffer<Packet>: their sizes set the fabric's cache footprint.
+static_assert(sizeof(Packet) == 32, "Packet grew past 32 bytes");
+
+TEST(ElasticBuffer, PacketBufferFootprintIsPinned) {
+  EXPECT_LE(sizeof(ElasticBuffer<Packet>), 224u);
+}
+
 TEST(ElasticBuffer, CombinationalPushIsVisibleSameCycle) {
   ElasticBuffer<int> b(BufferMode::kCombinational, 2);
   EXPECT_TRUE(b.empty());
@@ -77,6 +85,108 @@ TEST(ElasticBuffer, FifoOrder) {
   ElasticBuffer<int> b(BufferMode::kCombinational, 8);
   for (int i = 0; i < 5; ++i) b.push(i);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(b.pop(), i);
+}
+
+TEST(ElasticBuffer, PopBetweenStageAndCommitKeepsFifoOrder) {
+  // The staged item already sits in the ring behind the visible ones; a pop
+  // between stage and commit must leave it behind the remaining visible item.
+  ElasticBuffer<int> b(BufferMode::kRegistered, 3);
+  b.push(1);
+  b.commit();
+  b.push(2);
+  b.commit();
+  b.push(3);  // staged
+  EXPECT_EQ(b.pop(), 1);
+  b.commit();
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.pop(), 2);
+  EXPECT_EQ(b.pop(), 3);
+  EXPECT_TRUE(b.empty());
+}
+
+TEST(ElasticBuffer, StagedItemWrapsTheInlineRing) {
+  // Capacity-2 registered buffer driven around its inline ring many times,
+  // with the staged slot landing on both ring positions.
+  ElasticBuffer<int> b(BufferMode::kRegistered, 2);
+  int next = 0, expect = 0;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    if (b.can_accept()) b.push(next++);
+    if (cycle % 3 == 0 && !b.empty()) {
+      EXPECT_EQ(b.pop(), expect++);
+    }
+    b.commit();
+  }
+  while (!b.empty()) {
+    EXPECT_EQ(b.pop(), expect++);
+  }
+  EXPECT_EQ(expect, next);
+}
+
+TEST(ElasticBuffer, FullRegisteredBufferSaveRestoreRoundTrip) {
+  ElasticBuffer<Packet> a(BufferMode::kRegistered, 2);
+  Packet p;
+  p.addr = 0x1234;
+  p.data = 0xdeadbeef;
+  p.be = 0x3;
+  p.op = MemOp::kAmoAdd;
+  p.src = 17;
+  p.src_tile = 4;
+  p.dst_tile = 9;
+  p.dst_bank = 11;
+  p.dst_row = 77;
+  p.tag = 5;
+  p.birth = 123456789012ull;
+  // Rotate the ring first so the saved items straddle its wrap point.
+  a.push(p);
+  a.commit();
+  (void)a.pop();
+  for (int i = 0; i < 2; ++i) {
+    Packet q = p;
+    q.tag = static_cast<uint16_t>(100 + i);
+    a.push(q);
+    a.commit();
+  }
+  ASSERT_FALSE(a.can_accept());
+  StateSink sink;
+  a.save_state(sink);
+
+  ElasticBuffer<Packet> b(BufferMode::kRegistered, 2);
+  StateSource src(sink.data());
+  b.load_state(src);
+  src.finish();
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_FALSE(b.can_accept());
+  StateSink again;
+  b.save_state(again);
+  EXPECT_EQ(again.data(), sink.data()) << "restore re-saves byte-identically";
+  for (int i = 0; i < 2; ++i) {
+    const Packet q = b.pop();
+    EXPECT_EQ(q.tag, 100 + i);
+    EXPECT_EQ(q.addr, p.addr);
+    EXPECT_EQ(q.data, p.data);
+    EXPECT_EQ(q.be, p.be);
+    EXPECT_EQ(q.op, p.op);
+    EXPECT_EQ(q.src, p.src);
+    EXPECT_EQ(q.src_tile, p.src_tile);
+    EXPECT_EQ(q.dst_tile, p.dst_tile);
+    EXPECT_EQ(q.dst_bank, p.dst_bank);
+    EXPECT_EQ(q.dst_row, p.dst_row);
+    EXPECT_EQ(q.birth, p.birth);
+  }
+  // The restored buffer keeps working: stage, commit, pop.
+  b.push(p);
+  b.commit();
+  EXPECT_EQ(b.pop().tag, p.tag);
+}
+
+TEST(ElasticBuffer, RestoreBeyondCapacityIsRejected) {
+  ElasticBuffer<Packet> deep(BufferMode::kCombinational, 4);
+  for (int i = 0; i < 3; ++i) deep.push(Packet{});
+  StateSink sink;
+  deep.save_state(sink);
+  ElasticBuffer<Packet> shallow(BufferMode::kCombinational, 2);
+  StateSource src(sink.data());
+  EXPECT_THROW(shallow.load_state(src), CheckError);
 }
 
 TEST(ElasticBuffer, UnboundedCapacityZero) {
