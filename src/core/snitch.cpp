@@ -32,12 +32,9 @@ void SnitchCore::deliver(const Packet& resp) {
   stats_.resp_latency_sum += last_cycle_ + 1 - resp.birth;
   ++stats_.resp_count;
   rob_.fill(resp.tag, resp.data);
-  if (cfg_->core.writeback_on_arrival) {
-    // Tagged write-back on arrival: apply the register update immediately;
-    // the ROB slot itself is recycled in order at retire.
-    const RobEntry& e = rob_.peek(resp.tag);
-    writeback(e);
-  }
+  // Tagged write-back on arrival: apply the register update immediately; the
+  // ROB slot itself is recycled in order at retire.
+  writeback(rob_.peek(resp.tag));
 }
 
 void SnitchCore::writeback(const RobEntry& e) {
@@ -129,14 +126,10 @@ void SnitchCore::evaluate(uint64_t cycle) {
   last_cycle_ = cycle;
   ++stats_.cycles;
 
-  // 1. Retire completed responses from the ROB head. With write-back on
-  //    arrival the retire only recycles slots (any number per cycle); with
-  //    the strict in-order model it is also the single write-back port.
-  if (cfg_->core.writeback_on_arrival) {
-    while (rob_.head_ready()) rob_.pop_head();
-  } else if (rob_.head_ready()) {
-    writeback(rob_.pop_head());
-  }
+  // 1. Retire completed responses from the ROB head. Their write-back
+  //    happened on arrival, so the retire only recycles slots (any number
+  //    per cycle).
+  while (rob_.head_ready()) rob_.pop_head();
 
   // 2. Control stall (taken-branch bubble or blocking divide).
   if (next_issue_cycle_ > cycle) {

@@ -313,26 +313,38 @@ bool Engine::step_sharded() {
   }
   if (profile_) {
     const uint64_t tend = prof_now_ns();
-    uint64_t max_eval = 0, max_cc = 0, commit_sum = 0, drain_sum = 0;
+    uint64_t max_eval = 0, max_cc = 0;
+    uint64_t eval_sum = 0, commit_sum = 0, drain_sum = 0;
     for (ShardLane& lane : lanes_) {
       max_eval = std::max(max_eval, lane.prof_eval_ns);
       max_cc = std::max(max_cc, lane.prof_commit_ns + lane.prof_drain_ns);
+      eval_sum += lane.prof_eval_ns;
       commit_sum += lane.prof_commit_ns;
       drain_sum += lane.prof_drain_ns;
       lane.prof_eval_ns = lane.prof_commit_ns = lane.prof_drain_ns = 0;
     }
-    // Attribute the critical-path lane's busy time to the work phases and
-    // the rest of each phase's wall time to the barrier; the commit-phase
-    // critical path is split commit/drain pro rata of the lane totals.
-    const uint64_t eval_wall = tc - te;
-    const uint64_t commit_wall = tend - tc;
-    const uint64_t busy = commit_sum + drain_sum;
-    const uint64_t cc_commit = busy == 0 ? 0 : max_cc * commit_sum / busy;
-    profile_data_.evaluate_ns += (te - t0) + max_eval;
-    profile_data_.commit_ns += cc_commit;
-    profile_data_.drain_ns += max_cc - cc_commit;
-    profile_data_.barrier_ns += (eval_wall > max_eval ? eval_wall - max_eval : 0) +
-                                (commit_wall > max_cc ? commit_wall - max_cc : 0);
+    profile_data_.evaluate_ns += te - t0;
+    if (dispatch) {
+      // Attribute the critical-path lane's busy time to the work phases and
+      // the rest of each phase's wall time to the barrier; the commit-phase
+      // critical path is split commit/drain pro rata of the lane totals.
+      const uint64_t eval_wall = tc - te;
+      const uint64_t commit_wall = tend - tc;
+      const uint64_t busy = commit_sum + drain_sum;
+      const uint64_t cc_commit = busy == 0 ? 0 : max_cc * commit_sum / busy;
+      profile_data_.evaluate_ns += max_eval;
+      profile_data_.commit_ns += cc_commit;
+      profile_data_.drain_ns += max_cc - cc_commit;
+      profile_data_.barrier_ns +=
+          (eval_wall > max_eval ? eval_wall - max_eval : 0) +
+          (commit_wall > max_cc ? commit_wall - max_cc : 0);
+    } else {
+      // The lanes ran one after another on this thread: all of their time
+      // is work, and there was no barrier to wait at.
+      profile_data_.evaluate_ns += eval_sum;
+      profile_data_.commit_ns += commit_sum;
+      profile_data_.drain_ns += drain_sum;
+    }
     ++profile_data_.cycles;
   }
   last_cycle_evals_ = evals - prev_total_evals_;

@@ -308,7 +308,9 @@ class Engine {
   /// set_profile(true): evaluate = timer firing + active-set scans, commit =
   /// commit-dirty bitset scans, drain = cross-shard ring drains + boundary
   /// snapshot refreshes (sharded only), barrier = dispatch/join overhead of
-  /// the sharded phases (phase wall time minus the busiest lane's work).
+  /// the sharded phases (phase wall time minus the busiest lane's work). A
+  /// sharded cycle stepped inline (no executor, or too light to dispatch)
+  /// charges every lane's time to the work phases and none to barrier.
   /// Profiling never changes simulation results — it only reads clocks.
   struct PhaseProfile {
     uint64_t evaluate_ns = 0;

@@ -36,6 +36,18 @@ inline std::string only_core0(const std::string& body) {
   )" + body;
 }
 
+/// The paper's four topologies as a gtest parameter. The suites that sweep
+/// them take this one-byte index rather than the registry name because
+/// gtest_discover_tests writes the printed parameter into every ctest name
+/// ("... # GetParam() = 1-byte object <02>"); the tests themselves only use
+/// topo_name(), the registry name.
+enum class PaperTopo : uint8_t { kTop1, kTop4, kTopH, kTopX };
+
+inline const char* topo_name(PaperTopo t) {
+  static constexpr const char* kNames[] = {"Top1", "Top4", "TopH", "TopX"};
+  return kNames[static_cast<uint8_t>(t)];
+}
+
 /// The single-load probe used to measure zero-load latencies precisely —
 /// the shared implementation lives in src/traffic/probe.hpp.
 using mempool::ProbeClient;

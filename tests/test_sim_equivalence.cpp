@@ -112,14 +112,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ShardedEquivalenceScrambled, HybridAddressingBitIdentical) {
   // Scrambled addressing reshuffles which banks (and therefore shards) the
   // generators hit; pin the boundary-buffer backpressure snapshot under it.
-  expect_sharded_equivalent(traffic_cfg(Topology::kTopH, true, 0.25, 0.5), 8,
+  expect_sharded_equivalent(traffic_cfg("TopH", true, 0.25, 0.5), 8,
                             "TopH scrambled sharded");
 }
 
 TEST(ShardedEquivalencePaper, PaperClusterMidLambda) {
   // One full-size (256-core) point at the λ = 0.05 perf-target load.
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  cfg.cluster = ClusterConfig::paper("TopH", false);
   cfg.lambda = 0.05;
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 300;
@@ -165,7 +165,7 @@ TEST(ShardedEquivalenceDma, SnitchTiledMatmulBitIdentical) {
   // hierarchy's own counters all bit-identical between the active, dense,
   // and 8-thread sharded engines. Slice commands and completions cross the
   // shard commit barrier here; burst timers run on the per-shard wheels.
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2"};
   cfg.validate();
   kernels::TiledMatmulParams tp;
@@ -214,7 +214,7 @@ TEST(ShardedEquivalenceDma, SnitchTiledMatmulBitIdentical) {
 TEST(EngineEquivalenceFig6, HybridAddressingPointsBitIdentical) {
   for (double p_local : {0.0, 0.5, 1.0}) {
     expect_engines_equivalent(
-        traffic_cfg(Topology::kTopH, true, 0.25, p_local),
+        traffic_cfg("TopH", true, 0.25, p_local),
         "TopH scrambled p_local=" + std::to_string(p_local));
   }
 }
@@ -222,7 +222,7 @@ TEST(EngineEquivalenceFig6, HybridAddressingPointsBitIdentical) {
 TEST(EngineEquivalenceZeroLoad, PaperClusterLowLambda) {
   // One full-size (256-core) point in the tab_zero_load regime.
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  cfg.cluster = ClusterConfig::paper("TopH", false);
   cfg.lambda = 0.01;
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 300;
@@ -249,7 +249,7 @@ TEST(EngineEquivalenceExec, SnitchProgramBitIdentical) {
       sw zero, 0(t6)
   )";
   auto run_one = [&](EngineMode mode) {
-    const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+    const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
     auto sys = std::make_unique<System>(cfg);
     sys->configure_engine(mode, mode == EngineMode::kSharded ? 8 : 1);
     sys->load_program(isa::assemble_text(src));
@@ -298,7 +298,7 @@ TEST(ShardedEquivalenceExec, SnitchMatmul256CoresBitIdentical) {
   // threads — cycles, aggregate core stats, result memory, and fabric
   // counters all bit-identical. Kernel barriers, I$ refills, AMOs, and the
   // cross-group response traffic all cross the commit barrier here.
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   const kernels::KernelProgram kp = kernels::build_matmul(cfg, 64);
   auto run_one = [&](EngineMode mode) {
     auto sys = std::make_unique<System>(cfg);
@@ -354,7 +354,7 @@ class CheckpointEquivalence : public ::testing::TestWithParam<EngineMode> {};
 
 TEST_P(CheckpointEquivalence, RestoredRunBitIdentical) {
   TrafficExperimentConfig cfg =
-      traffic_cfg(Topology::kTopH, true, 0.25, 0.5);
+      traffic_cfg("TopH", true, 0.25, 0.5);
   cfg.engine = GetParam();
   if (cfg.engine == EngineMode::kSharded) cfg.sim_threads = 4;
 
@@ -401,7 +401,7 @@ TEST(CheckpointEquivalence2, ActiveImageResumesUnderDenseNotSharded) {
   // sequential image, so that resume must be *refused* by the
   // monitor-count guard, never silently diverged.
   TrafficExperimentConfig cfg =
-      traffic_cfg(Topology::kTopH, false, 0.15, 0.0);
+      traffic_cfg("TopH", false, 0.15, 0.0);
   TrafficCounters c_plain;
   const TrafficPoint p_plain = run_traffic_point(cfg, &c_plain);
 
@@ -433,7 +433,7 @@ TEST(CheckpointEquivalence2, ActiveImageResumesUnderDenseNotSharded) {
 
 TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
   TrafficExperimentConfig cfg =
-      traffic_cfg(Topology::kTopH, false, 0.1, 0.0);
+      traffic_cfg("TopH", false, 0.1, 0.0);
   std::string image;
   CheckpointOptions save;
   save.checkpoint_every = 400;
@@ -450,7 +450,7 @@ TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
 
   // Wrong topology: component list differs, refused.
   TrafficExperimentConfig other =
-      traffic_cfg(Topology::kTop1, false, 0.1, 0.0);
+      traffic_cfg("Top1", false, 0.1, 0.0);
   CheckpointOptions same_key;
   same_key.key = "point-A";
   same_key.restore_from = &image;
@@ -464,54 +464,17 @@ TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
   EXPECT_THROW(run_traffic_point(cfg, torn_opts), CheckError);
 }
 
-TEST(ShardedEquivalenceWork, ShardedEvaluatesExactlyLikeActive) {
-  // The scheduler-work counters themselves must match: the sharded engine
-  // evaluates exactly the components the active engine would, no more.
-  TrafficExperimentConfig cfg = traffic_cfg(Topology::kTopH, false, 0.1, 0.0);
-  auto evals = [&](EngineMode mode) {
-    InstrMem imem(4096);
-    Engine engine;
-    Cluster cluster(cfg.cluster, &imem);
-    if (mode == EngineMode::kSharded) {
-      engine.set_sharded(cluster.num_shards(), nullptr);
-    }
-    LatencyMonitor monitor(0);
-    TrafficConfig tcfg;
-    tcfg.lambda = cfg.lambda;
-    tcfg.stop_generation_at = 1000;
-    std::vector<std::unique_ptr<TrafficGenerator>> gens;
-    std::vector<Client*> clients;
-    for (uint32_t c = 0; c < cfg.cluster.num_cores(); ++c) {
-      gens.push_back(std::make_unique<TrafficGenerator>(
-          "gen" + std::to_string(c), static_cast<uint16_t>(c),
-          static_cast<uint16_t>(c / cfg.cluster.cores_per_tile), cfg.cluster,
-          &cluster.layout(), &engine, tcfg, &monitor));
-      clients.push_back(gens.back().get());
-    }
-    cluster.attach_clients(clients);
-    cluster.build(engine);
-    engine.run(1500);
-    return std::make_tuple(engine.evaluations(), engine.commits(),
-                           monitor.completed());
-  };
-  EXPECT_EQ(evals(EngineMode::kActive), evals(EngineMode::kSharded));
-}
+/// Traffic generators on every core of a cluster, for the tests that read
+/// the engine's own counters. Set the engine's mode between construction
+/// and run().
+struct TrafficRig {
+  explicit TrafficRig(const ClusterConfig& c) : cfg(c), cluster(c, &imem) {}
 
-TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
-  // The point of the scheduler: at low load the active engine must evaluate
-  // far fewer components than the dense sweep (deterministic work proxy for
-  // the ≥3x wall-clock target measured by bench/micro_sim_speed).
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, false);
-  auto build_and_run = [&](bool dense) {
-    InstrMem imem(4096);
-    Engine engine;
-    engine.set_dense(dense);
-    Cluster cluster(cfg, &imem);
-    LatencyMonitor monitor(0);
+  /// Generate at @p lambda until cycle @p stop_at, stepping @p cycles.
+  void run(double lambda, uint64_t stop_at, uint64_t cycles) {
     TrafficConfig tcfg;
-    tcfg.lambda = 0.02;
-    tcfg.stop_generation_at = 1500;
-    std::vector<std::unique_ptr<TrafficGenerator>> gens;
+    tcfg.lambda = lambda;
+    tcfg.stop_generation_at = stop_at;
     std::vector<Client*> clients;
     for (uint32_t c = 0; c < cfg.num_cores(); ++c) {
       gens.push_back(std::make_unique<TrafficGenerator>(
@@ -522,8 +485,60 @@ TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
     }
     cluster.attach_clients(clients);
     cluster.build(engine);
-    engine.run(2000);
-    return std::make_pair(engine.evaluations(), monitor.completed());
+    engine.run(cycles);
+  }
+
+  ClusterConfig cfg;
+  InstrMem imem{4096};
+  Engine engine;
+  Cluster cluster;
+  LatencyMonitor monitor{0};
+  std::vector<std::unique_ptr<TrafficGenerator>> gens;
+};
+
+TEST(ShardedEquivalenceWork, ShardedEvaluatesExactlyLikeActive) {
+  // The scheduler-work counters themselves must match: the sharded engine
+  // evaluates exactly the components the active engine would, no more.
+  TrafficExperimentConfig cfg = traffic_cfg("TopH", false, 0.1, 0.0);
+  auto evals = [&](EngineMode mode) {
+    TrafficRig rig(cfg.cluster);
+    if (mode == EngineMode::kSharded) {
+      rig.engine.set_sharded(rig.cluster.num_shards(), nullptr);
+    }
+    rig.run(cfg.lambda, 1000, 1500);
+    return std::make_tuple(rig.engine.evaluations(), rig.engine.commits(),
+                           rig.monitor.completed());
+  };
+  EXPECT_EQ(evals(EngineMode::kActive), evals(EngineMode::kSharded));
+}
+
+TEST(ShardedProfile, InlineLanesChargeNoBarrier) {
+  // Without an executor the sharded engine steps its lanes one after
+  // another on the calling thread, so no time is spent waiting at a barrier:
+  // the profile must book every lane's time to the work phases.
+  TrafficRig rig(ClusterConfig::mini("TopH", false));
+  ASSERT_GT(rig.cluster.num_shards(), 1u);
+  rig.engine.set_sharded(rig.cluster.num_shards(), nullptr);
+  rig.engine.set_profile(true);
+  rig.run(0.2, 500, 600);
+  ASSERT_GT(rig.monitor.completed(), 0u);
+
+  const Engine::PhaseProfile& p = rig.engine.phase_profile();
+  EXPECT_GT(p.cycles, 0u);
+  EXPECT_GT(p.evaluate_ns, 0u);
+  EXPECT_EQ(p.barrier_ns, 0u);
+}
+
+TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
+  // The point of the scheduler: at low load the active engine must evaluate
+  // far fewer components than the dense sweep (deterministic work proxy for
+  // the ≥3x wall-clock target measured by bench/micro_sim_speed).
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", false);
+  auto build_and_run = [&](bool dense) {
+    TrafficRig rig(cfg);
+    rig.engine.set_dense(dense);
+    rig.run(0.02, 1500, 2000);
+    return std::make_pair(rig.engine.evaluations(), rig.monitor.completed());
   };
   const auto [active_evals, active_completed] = build_and_run(false);
   const auto [dense_evals, dense_completed] = build_and_run(true);
