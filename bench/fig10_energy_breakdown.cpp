@@ -25,6 +25,7 @@ using namespace mempool;
 int main(int argc, char** argv) {
   const runner::BenchOptions opts =
       runner::parse_bench_options(&argc, argv, "fig10_energy_breakdown");
+  runner::reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout,
                "Figure 10 — energy per instruction, TopH tile (pJ)");
@@ -93,7 +94,6 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const Measured meas = runner::run_indexed(pool, 1, [&](std::size_t) {
     System sys(cfg);
-    sys.configure_engine(opts.engine, opts.sim_threads);
     kernels::run_kernel(sys, kernels::build_matmul(cfg, 64), 50'000'000);
     Measured m;
     m.cs = sys.aggregate_core_stats();

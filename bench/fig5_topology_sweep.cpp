@@ -39,6 +39,7 @@ static int bench_main(int argc, char** argv) {
   const BenchOptions opts =
       parse_bench_options(&argc, argv, "fig5_topology_sweep",
                           /*accepts_topology=*/false, /*accepts_memory=*/true);
+  reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout, "Figure 5 — network analysis of Top1 / Top4 / TopH "
                           "(256 generators, uniform banks)");
@@ -54,7 +55,7 @@ static int bench_main(int argc, char** argv) {
   spec.topologies = {"Top1", "Top4", "TopH"};
   spec.lambdas = loads;
   if (!opts.memory.empty()) spec.base.cluster.memory = MemorySpec{opts.memory};
-  opts.apply_engine(&spec.base);
+  spec.base.stall_horizon = opts.stall_horizon;
 
   const SweepResult res = run_sweep(spec, opts.runner());
   // Point index layout (SweepSpec::expand): topology-major, λ inner.

@@ -19,6 +19,7 @@ using namespace mempool::runner;
 static int bench_main(int argc, char** argv) {
   const BenchOptions opts =
       parse_bench_options(&argc, argv, "fig6_hybrid_addressing");
+  reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout,
                "Figure 6 — TopH with the hybrid addressing scheme, for "
@@ -35,7 +36,7 @@ static int bench_main(int argc, char** argv) {
   spec.base.drain_cycles = 2000;
   spec.p_locals = plocals;
   spec.lambdas = loads;
-  opts.apply_engine(&spec.base);
+  spec.base.stall_horizon = opts.stall_horizon;
 
   const SweepResult res = run_sweep(spec, opts.runner());
   // Point index layout (SweepSpec::expand): p_local-major, λ inner.

@@ -30,11 +30,9 @@ using namespace mempool::runner;
 namespace {
 
 uint64_t run_one(const std::string& topo, bool scramble,
-                 const std::string& kernel, EngineMode engine,
-                 unsigned sim_threads) {
+                 const std::string& kernel) {
   const ClusterConfig cfg = ClusterConfig::paper(topo, scramble);
   System sys(cfg);
-  sys.configure_engine(engine, sim_threads);
   kernels::KernelProgram kp;
   if (kernel == "matmul") {
     kp = kernels::build_matmul(cfg, 64);
@@ -60,6 +58,7 @@ struct Case {
 
 int main(int argc, char** argv) {
   const BenchOptions opts = parse_bench_options(&argc, argv, "fig7_benchmarks");
+  reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout,
                "Figure 7 — benchmark performance relative to the ideal "
@@ -77,8 +76,7 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<uint64_t> measured = run_indexed(
       pool, cases.size(), [&](std::size_t i) {
-        return run_one(cases[i].topo, cases[i].scramble, cases[i].kernel,
-                       opts.engine, opts.sim_threads);
+        return run_one(cases[i].topo, cases[i].scramble, cases[i].kernel);
       });
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)

@@ -43,10 +43,8 @@ struct RunOut {
 };
 
 RunOut run_variant(const ClusterConfig& cfg,
-                   const kernels::TiledMatmulParams& p, EngineMode engine,
-                   unsigned sim_threads) {
+                   const kernels::TiledMatmulParams& p) {
   System sys(cfg);
-  sys.configure_engine(engine, sim_threads);
   RunOut out;
   out.cycles =
       kernels::run_kernel(sys, kernels::build_matmul_tiled(cfg, p), 2'000'000'000ull);
@@ -122,9 +120,9 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   p.double_buffer = true;
-  const RunOut db = run_variant(cfg, p, opts.engine, opts.sim_threads);
+  const RunOut db = run_variant(cfg, p);
   p.double_buffer = false;
-  const RunOut serial = run_variant(cfg, p, opts.engine, opts.sim_threads);
+  const RunOut serial = run_variant(cfg, p);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -4,7 +4,7 @@
 //
 // Besides the Google-Benchmark suite, `--speedup_json=PATH` runs a direct
 // engine comparison — dense vs activity-driven, plus the sharded engine
-// across a sim-threads axis (1/2/4/8) on the group-sharded topologies — and
+// across a forced thread axis (1/2/4/8) on the group-sharded topologies — and
 // writes a mempool.speedup.v3 JSON artifact (uploaded per-PR by CI so
 // scheduler regressions are visible); add `--speedup_only` to skip the
 // benchmark suite. The artifact carries absolute simulated cycles/sec per
@@ -83,10 +83,11 @@ void BM_TrafficCycles(benchmark::State& state, const char* topo) {
   e.warmup_cycles = 100;
   e.measure_cycles = static_cast<uint64_t>(state.range(0));
   e.drain_cycles = 0;
-  e.engine = state.range(1) != 0 ? EngineMode::kDense : EngineMode::kActive;
+  const EnginePlan plan{state.range(1) != 0 ? EngineMode::kDense
+                                            : EngineMode::kActive};
   uint64_t cycles = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_traffic_point(e));
+    benchmark::DoNotOptimize(run_traffic_point(e, plan));
     cycles += e.warmup_cycles + e.measure_cycles;
   }
   state.counters["sim_cycles/s"] = benchmark::Counter(
@@ -102,10 +103,11 @@ void BM_LowLoadCycles(benchmark::State& state) {
   e.warmup_cycles = 100;
   e.measure_cycles = 2000;
   e.drain_cycles = 500;
-  e.engine = state.range(0) != 0 ? EngineMode::kDense : EngineMode::kActive;
+  const EnginePlan plan{state.range(0) != 0 ? EngineMode::kDense
+                                            : EngineMode::kActive};
   uint64_t cycles = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_traffic_point(e));
+    benchmark::DoNotOptimize(run_traffic_point(e, plan));
     cycles += e.warmup_cycles + e.measure_cycles + e.drain_cycles;
   }
   state.counters["sim_cycles/s"] = benchmark::Counter(
@@ -137,24 +139,18 @@ void BM_ExecutionCycles(benchmark::State& state) {
 
 // --- dense-vs-active speedup artifact ---------------------------------------
 
-double time_point_seconds(const TrafficExperimentConfig& cfg, int reps) {
+double time_point_seconds(const TrafficExperimentConfig& cfg,
+                          const EnginePlan& plan, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    TrafficPoint p = run_traffic_point(cfg);
+    TrafficPoint p = run_traffic_point(cfg, plan);
     benchmark::DoNotOptimize(&p);
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     best = std::min(best, dt.count());
   }
   return best;
-}
-
-double time_sharded_seconds(TrafficExperimentConfig cfg, unsigned sim_threads,
-                            int reps) {
-  cfg.engine = EngineMode::kSharded;
-  cfg.sim_threads = sim_threads;
-  return time_point_seconds(cfg, reps);
 }
 
 /// Wall-clock of the tab_zero_load probe sweep (core 0 -> every tile, one
@@ -200,13 +196,11 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
   // full 256-core paper cluster — the regimes where the fabric is mostly
   // idle and the activity-driven scheduler must deliver (target: >= 3x).
   // The group-sharded topologies additionally time the sharded engine over
-  // the sim-threads axis; λ = 0.05 with all threads is the "high-load sweeps
-  // stop being wall-clock-bound on one core" target (>= 3x over
-  // single-thread active — achievable when the host has >= 4 cores to put
-  // under the 4 group shards).
+  // a thread axis, forced through an explicit EnginePlan: plan_engine itself
+  // steps these 256-core points on the active engine (kShardedMinCores).
   const std::vector<std::string> topos = {"Top1", "TopH"};
   const std::vector<double> lambdas = {0.01, 0.02, 0.05};
-  const std::vector<unsigned> sim_threads = {1, 2, 4, 8};
+  const std::vector<unsigned> thread_axis = {1, 2, 4, 8};
   Json points = Json::array();
   double min_speedup = 1e300;
   double dense_total = 0, active_total = 0;
@@ -249,9 +243,9 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
       Json sharded = Json::object();
       Json sharded_cps = Json::object();
       for (std::size_t i = 0; i < sharded_s.size(); ++i) {
-        sharded.set(std::to_string(sim_threads[i]), sharded_s[i]);
+        sharded.set(std::to_string(thread_axis[i]), sharded_s[i]);
         if (sim_cycles > 0) {
-          sharded_cps.set(std::to_string(sim_threads[i]),
+          sharded_cps.set(std::to_string(thread_axis[i]),
                           static_cast<double>(sim_cycles) / sharded_s[i]);
         }
         best = std::min(best, sharded_s[i]);
@@ -279,19 +273,19 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
       cfg.lambda = lambda;  // fig5 point shape: default cycle counts
       const uint64_t sim_cycles =
           cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
-      cfg.engine = EngineMode::kDense;
-      const double dense_s = time_point_seconds(cfg, 2);
-      cfg.engine = EngineMode::kActive;
-      const double active_s = time_point_seconds(cfg, 2);
+      const double dense_s = time_point_seconds(cfg, {EngineMode::kDense}, 2);
+      const double active_s =
+          time_point_seconds(cfg, {EngineMode::kActive}, 2);
       std::vector<double> sharded_s;
       const FabricTopology& plugin =
           FabricRegistry::get(cfg.cluster.topology.name);
       if (plugin.num_shards(cfg.cluster) > 1) {
-        // Only the group-sharded fabrics get the sim-threads axis; a
+        // Only the group-sharded fabrics get the thread axis; a
         // single-shard topology's sharded engine is the active engine plus
         // a no-op lane.
-        for (unsigned t : sim_threads) {
-          sharded_s.push_back(time_sharded_seconds(cfg, t, 2));
+        for (unsigned t : thread_axis) {
+          sharded_s.push_back(
+              time_point_seconds(cfg, {EngineMode::kSharded, t}, 2));
         }
       }
       if (topo == "TopH" && lambda == 0.05) {
@@ -390,12 +384,10 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
 /// Engine::set_profile: where the wall-clock goes, phase by phase. Unlike
 /// run_speedup this hand-rolls the cluster so the profile toggle can be set
 /// on the engine before stepping.
-void profile_mode(const char* label, EngineMode mode, unsigned sim_threads) {
+void profile_mode(const char* label, EngineMode mode, unsigned threads) {
   TrafficExperimentConfig cfg;
   cfg.cluster = ClusterConfig::paper("TopH", false);
   cfg.lambda = 0.05;
-  cfg.engine = mode;
-  cfg.sim_threads = sim_threads;
   const uint64_t cycles =
       cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
 
@@ -424,7 +416,7 @@ void profile_mode(const char* label, EngineMode mode, unsigned sim_threads) {
 
   std::unique_ptr<runner::ShardCrew> crew;
   if (mode == EngineMode::kSharded) {
-    crew = std::make_unique<runner::ShardCrew>(sim_threads,
+    crew = std::make_unique<runner::ShardCrew>(threads,
                                                cluster.num_shards());
     engine.set_sharded(cluster.num_shards(), crew->executor());
   }

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const mempool::runner::BenchOptions opts =
       mempool::runner::parse_bench_options(&argc, argv,
                                            "tab_physical_feasibility");
+  mempool::runner::reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout,
                "T6 — physical feasibility (analytic floorplan model, "

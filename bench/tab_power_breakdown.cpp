@@ -22,6 +22,7 @@ using namespace mempool;
 int main(int argc, char** argv) {
   const runner::BenchOptions opts =
       runner::parse_bench_options(&argc, argv, "tab_power_breakdown");
+  runner::reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout,
                "T5 — power breakdown, matmul on 256-core TopHS @ 500 MHz");
@@ -39,7 +40,6 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const Measured meas = runner::run_indexed(pool, 1, [&](std::size_t) {
     System sys(cfg);
-    sys.configure_engine(opts.engine, opts.sim_threads);
     Measured m;
     m.cycles = kernels::run_kernel(sys, kernels::build_matmul(cfg, 64),
                                    50'000'000);

@@ -29,16 +29,10 @@ using namespace mempool;
 
 namespace {
 
+// Probing is one load at a time on an idle fabric, so the default
+// sequential engine steps every rig.
 struct Rig {
-  explicit Rig(const ClusterConfig& cfg, EngineMode mode)
-      : imem(4096), cluster(cfg, &imem) {
-    // Probing is one load at a time, so sharded mode runs its shards inline
-    // on this thread (no executor) — still the sharded code path end to end.
-    if (mode == EngineMode::kSharded) {
-      engine.set_sharded(cluster.num_shards(), nullptr);
-    } else {
-      engine.set_dense(mode == EngineMode::kDense);
-    }
+  explicit Rig(const ClusterConfig& cfg) : imem(4096), cluster(cfg, &imem) {
     for (uint32_t c = 0; c < cfg.num_cores(); ++c) {
       probes.push_back(std::make_unique<ProbeClient>(
           static_cast<uint16_t>(c),
@@ -72,9 +66,9 @@ struct TopoLatency {
   uint32_t tiles = 0;
 };
 
-TopoLatency measure(const TopologySpec& topo, EngineMode mode) {
+TopoLatency measure(const TopologySpec& topo) {
   const ClusterConfig cfg = ClusterConfig::paper(topo, true);
-  Rig rig(cfg, mode);
+  Rig rig(cfg);
   auto addr = [&](uint32_t tile) { return tile * cfg.seq_region_bytes; };
   TopoLatency out;
   out.tiles = cfg.num_tiles;
@@ -96,6 +90,7 @@ TopoLatency measure(const TopologySpec& topo, EngineMode mode) {
 int main(int argc, char** argv) {
   const runner::BenchOptions opts = runner::parse_bench_options(
       &argc, argv, "tab_zero_load_latency", /*accepts_topology=*/true);
+  runner::reject_leftover_args(argc, argv, opts.bench_name);
 
   print_banner(std::cout,
                "T1 — zero-load access latency (cycles), 256-core cluster");
@@ -107,7 +102,7 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<TopoLatency> lats = runner::run_indexed(
       pool, topos.size(),
-      [&](std::size_t i) { return measure(topos[i], opts.engine); });
+      [&](std::size_t i) { return measure(topos[i]); });
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -12,10 +12,12 @@
 
 #include "core/system.hpp"
 #include "isa/text_asm.hpp"
+#include "runner/bench_cli.hpp"
 
 using namespace mempool;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::reject_leftover_args(argc, argv, "custom_kernel_asm");
   const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   System sys(cfg);
 

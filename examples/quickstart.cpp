@@ -2,20 +2,16 @@
 // textual assembly, run it on all 256 cores, and inspect the results.
 //
 //   $ ./quickstart
-//   $ ./quickstart --engine sharded --sim-threads 4   # parallel cycles
 //   $ ./quickstart --memory tcdm+l2                   # + L2/DMA demo
 //
 // Each core computes the sum 1..hartid with a simple loop, stores it into
 // the shared L1, and exits with the result; the host verifies via the
-// backdoor, then prints a few performance counters. The optional flags pick
-// the engine mode (sharded steps the cluster's four TopH groups on four
-// threads, bit-identically to the default sequential scheduler) and the
-// memory system: with a DMA-capable one (tcdm+l2) a second run demos a
+// backdoor, then prints a few performance counters. The optional flag picks
+// the memory system: with a DMA-capable one (tcdm+l2) a second run demos a
 // double-buffered tiled matmul whose matrices live in L2 and stream through
 // the SPM via the per-group DMA engines.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/system.hpp"
@@ -27,25 +23,9 @@
 using namespace mempool;
 
 int main(int argc, char** argv) {
-  EngineMode mode = EngineMode::kActive;
-  unsigned sim_threads = 1;
   std::string memory = "tcdm";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      if (!engine_mode_from_name(argv[++i], &mode)) {
-        std::fprintf(stderr, "unknown engine '%s' (active|dense|sharded)\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (v == 0 || (end != nullptr && *end != '\0')) {
-        std::fprintf(stderr, "--sim-threads wants a positive integer\n");
-        return 2;
-      }
-      sim_threads = static_cast<unsigned>(v);
-    } else if (std::strcmp(argv[i], "--memory") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--memory") == 0 && i + 1 < argc) {
       memory = argv[++i];
       if (MemoryRegistry::find(memory) == nullptr) {
         std::fprintf(stderr, "unknown memory system '%s'; available: %s\n",
@@ -53,15 +33,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: quickstart [--engine active|dense|sharded] "
-                   "[--sim-threads N] [--memory NAME]\n");
+      std::fprintf(stderr, "usage: quickstart [--memory NAME]\n");
       return 2;
     }
-  }
-  if (sim_threads > 1 && mode != EngineMode::kSharded) {
-    std::fprintf(stderr, "--sim-threads only applies to --engine sharded\n");
-    return 2;
   }
 
   // The paper's silicon configuration: 64 tiles x 4 cores x 16 banks, TopH
@@ -72,7 +46,6 @@ int main(int argc, char** argv) {
   cfg.memory = MemorySpec{memory};
   cfg.validate();
   System sys(cfg);
-  sys.configure_engine(mode, sim_threads);
 
   const std::string program = R"(
     _start:
@@ -136,7 +109,6 @@ int main(int argc, char** argv) {
     p.k = 32;
     p.rb = p.cb = 64;
     System dma_sys(cfg);
-    dma_sys.configure_engine(mode, sim_threads);
     const uint64_t cycles = kernels::run_kernel(
         dma_sys, kernels::build_matmul_tiled(cfg, p), 500'000'000ull);
     const MemoryStats m = dma_sys.cluster().memory_stats();

@@ -8,6 +8,7 @@
 
 #include "core/cluster_config.hpp"
 #include "core/layout.hpp"
+#include "runner/bench_cli.hpp"
 
 using namespace mempool;
 
@@ -26,7 +27,8 @@ void show_walk(const MemoryLayout& layout, uint32_t base, uint32_t words,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  runner::reject_leftover_args(argc, argv, "scrambler_demo");
   const ClusterConfig off_cfg = ClusterConfig::paper("TopH", false);
   const ClusterConfig on_cfg = ClusterConfig::paper("TopH", true);
   const MemoryLayout off(off_cfg), on(on_cfg);

@@ -55,13 +55,14 @@ static int bench_main(int argc, char** argv) {
   const double lambda =
       argc > pos ? parse_number_or_exit(argv[pos++], "lambda") : -1.0;
   const double p_local =
-      argc > pos ? parse_number_or_exit(argv[pos], "p_local") : 0.0;
+      argc > pos ? parse_number_or_exit(argv[pos++], "p_local") : 0.0;
+  reject_leftover_args(argc, argv, opts.bench_name, pos);
 
   TrafficExperimentConfig e;
   e.cluster = ClusterConfig::paper(topo, p_local > 0.0);
   if (!opts.memory.empty()) e.cluster.memory = MemorySpec{opts.memory};
   e.cluster.validate();
-  opts.apply_engine(&e);
+  e.stall_horizon = opts.stall_horizon;
   e.p_local_seq = p_local;
 
   if (opts.wants_checkpointing() && lambda < 0) {

@@ -1,9 +1,12 @@
 #include "core/cluster_config.hpp"
 
+#include <algorithm>
+
 #include "common/bitutil.hpp"
 #include "common/check.hpp"
 #include "mem/memsys.hpp"
 #include "noc/fabric.hpp"
+#include "sim/shard.hpp"
 
 namespace mempool {
 
@@ -132,6 +135,14 @@ ClusterConfig ClusterConfig::paper(const TopologySpec& spec, bool scrambling) {
 
 ClusterConfig ClusterConfig::mini(const TopologySpec& spec, bool scrambling) {
   return FabricRegistry::get(spec.name).mini_config(spec, scrambling);
+}
+
+EnginePlan plan_engine(const ClusterConfig& cfg, unsigned spare_threads) {
+  if (cfg.num_cores() < kShardedMinCores) return {};
+  const uint32_t shards =
+      FabricRegistry::get(cfg.topology.name).num_shards(cfg);
+  return {EngineMode::kSharded,
+          std::max(1u, std::min<unsigned>(spare_threads, shards))};
 }
 
 }  // namespace mempool

@@ -22,7 +22,7 @@ namespace {
 
 [[noreturn]] void usage(const std::string& bench, int code) {
   std::fprintf(stderr,
-               "usage: %s [--threads N] [--sim-threads N] [--engine MODE] "
+               "usage: %s [--threads N] "
                "[--json PATH | --no-json] [--quiet] "
                "[--topology NAME] [--list-topologies] "
                "[bench-specific args]\n"
@@ -30,13 +30,6 @@ namespace {
                "run concurrently\n"
                "                     (default: MEMPOOL_THREADS env var, else "
                "all cores)\n"
-               "  --sim-threads N    engine threads: how many shards of one "
-               "point's cluster\n"
-               "                     step concurrently (--engine sharded "
-               "only; default 1)\n"
-               "  --engine MODE      active (default) | dense | sharded — "
-               "bit-identical\n"
-               "                     results, different wall-clock\n"
                "  --json PATH        results file (default: %s.results.json)\n"
                "  --no-json          do not write a results file\n"
                "  --quiet            no stderr progress ticker\n"
@@ -46,7 +39,6 @@ namespace {
                "  --memory NAME      memory system (available: %s)\n"
                "  --list-memories    list the registered memory systems and "
                "exit\n"
-               "  --list-engines     list the engine modes and exit\n"
                "  --drc              run the design-rule checker over every "
                "registered\n"
                "                     topology x memory x engine combination "
@@ -76,16 +68,6 @@ namespace {
                MemoryRegistry::available().c_str(), bench.c_str(),
                bench.c_str(), bench.c_str());
   std::exit(code);
-}
-
-[[noreturn]] void list_engines() {
-  std::fprintf(stderr, "engine modes (all bit-identical; --engine MODE):\n");
-  for (EngineMode m :
-       {EngineMode::kActive, EngineMode::kDense, EngineMode::kSharded}) {
-    std::fprintf(stderr, "  %-8s  %s\n", engine_mode_name(m),
-                 engine_mode_description(m));
-  }
-  std::exit(0);
 }
 
 [[noreturn]] void list_topologies() {
@@ -192,43 +174,11 @@ BenchOptions parse_bench_options(int* argc, char** argv,
       if (v <= 0 || (end != nullptr && *end != '\0')) {
         std::fprintf(stderr,
                      "%s: --threads wants a positive integer (sweep workers: "
-                     "how many points run concurrently); engine-level "
-                     "parallelism is --sim-threads\n",
+                     "how many points run concurrently)\n",
                      bench_name.c_str());
         usage(bench_name, 2);
       }
       opts.threads = static_cast<unsigned>(v);
-    } else if (std::strcmp(a, "--sim-threads") == 0) {
-      const char* v_str = value();
-      char* end = nullptr;
-      const long v = std::strtol(v_str, &end, 10);
-      if (v <= 0 || (end != nullptr && *end != '\0')) {
-        std::fprintf(stderr,
-                     "%s: --sim-threads wants a positive integer (engine "
-                     "threads per point); sweep-level parallelism is "
-                     "--threads\n",
-                     bench_name.c_str());
-        usage(bench_name, 2);
-      }
-      opts.sim_threads = static_cast<unsigned>(v);
-    } else if (std::strcmp(a, "--sim_threads") == 0 ||
-               std::strcmp(a, "--engine-threads") == 0 ||
-               std::strcmp(a, "--engine_threads") == 0) {
-      // The historically ambiguous spellings: refuse instead of guessing
-      // which of the two thread axes was meant.
-      std::fprintf(stderr,
-                   "%s: unknown flag '%s' — use --threads N for sweep "
-                   "workers (points in parallel) or --sim-threads N for "
-                   "engine threads (shards of one point in parallel)\n",
-                   bench_name.c_str(), a);
-      std::exit(2);
-    } else if (std::strcmp(a, "--engine") == 0) {
-      const char* mode = value();
-      if (!engine_mode_from_name(mode, &opts.engine)) {
-        std::fprintf(stderr, "%s: unknown engine '%s'; available: %s\n",
-                     bench_name.c_str(), mode, engine_mode_available());
-        std::exit(2);
-      }
     } else if (std::strcmp(a, "--json") == 0) {
       opts.json_path = value();
     } else if (std::strcmp(a, "--no-json") == 0) {
@@ -257,8 +207,6 @@ BenchOptions parse_bench_options(int* argc, char** argv,
       opts.memory = parse_memory_or_exit(value()).name;
     } else if (std::strcmp(a, "--list-memories") == 0) {
       list_memories();
-    } else if (std::strcmp(a, "--list-engines") == 0) {
-      list_engines();
     } else if (std::strcmp(a, "--drc") == 0) {
       want_drc = true;
     } else if (std::strcmp(a, "--drc-out") == 0) {
@@ -324,15 +272,15 @@ BenchOptions parse_bench_options(int* argc, char** argv,
                  bench_name.c_str());
     std::exit(2);
   }
-  if (opts.sim_threads > 1 && opts.engine != EngineMode::kSharded) {
-    std::fprintf(stderr,
-                 "%s: --sim-threads only applies to --engine sharded (the "
-                 "sequential engines step one point on one thread; use "
-                 "--threads for sweep-level parallelism)\n",
-                 bench_name.c_str());
-    std::exit(2);
-  }
   return opts;
+}
+
+void reject_leftover_args(int argc, char** argv,
+                          const std::string& bench_name, int consumed) {
+  if (argc <= consumed) return;
+  std::fprintf(stderr, "%s: unexpected argument '%s'\n",
+               bench_name.c_str(), argv[consumed]);
+  std::exit(2);
 }
 
 TrafficPoint run_checkpointed_point(const BenchOptions& opts,

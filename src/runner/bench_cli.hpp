@@ -4,11 +4,6 @@
 //   --threads N         sweep worker threads — how many *points* run
 //                       concurrently (default: MEMPOOL_THREADS env / all
 //                       cores)
-//   --sim-threads N     engine threads — how many shards of *one point's*
-//                       cluster step concurrently (sharded engine only;
-//                       default 1)
-//   --engine MODE       active (default) | dense | sharded; all three are
-//                       bit-identical, only wall-clock differs
 //   --json PATH         results file path (default: <bench>.results.json)
 //   --no-json           disable the results file
 //   --quiet             suppress the stderr progress ticker
@@ -19,9 +14,6 @@
 //   --memory NAME       select a registered memory system (benches that take
 //                       one); unknown names fail with the list of plugins
 //   --list-memories     print the MemoryRegistry and exit
-//   --list-engines      print the engine modes with one-line descriptions
-//                       and exit; unknown --engine values fail with the same
-//                       list
 //   --drc               run the design-rule checker (verify/drc.hpp) over
 //                       every registered topology x memory x engine
 //                       combination at paper scale, write <bench>.drc.json
@@ -43,15 +35,15 @@
 //                       never interrupted
 //   --help              usage
 //
-// The two thread axes are deliberately distinct flags: --threads always
-// means sweep-level parallelism (as it has since the runner landed) and
-// --sim-threads always means engine-level parallelism. The historically
-// ambiguous spellings people reach for (--engine-threads, --sim_threads,
-// --threads=sim) are rejected with an error naming both flags instead of
-// being silently misread.
+// No flag picks the engine: each point runs on plan_engine's choice (see
+// sim/shard.hpp), and the host threads the sweep leaves idle step the
+// shards of a point that is large enough to shard.
 //
 // Recognized flags are removed from argv so benches with positional
-// arguments (traffic_explorer) can parse the remainder untouched.
+// arguments (traffic_explorer) can parse the remainder untouched; once a
+// bench has taken its own arguments, reject_leftover_args fails on the
+// rest, so a mistyped or retired flag stops the run instead of being
+// ignored.
 
 #include <cstdint>
 #include <functional>
@@ -60,7 +52,6 @@
 #include "common/json.hpp"
 #include "core/cluster_config.hpp"
 #include "runner/runner.hpp"
-#include "sim/shard.hpp"
 #include "traffic/experiment.hpp"
 
 namespace mempool::runner {
@@ -70,10 +61,6 @@ struct BenchOptions {
   unsigned threads = 0;     ///< Sweep workers; 0 = ThreadPool::default_threads().
   std::string json_path;    ///< Empty = results file disabled.
   bool progress = true;
-  /// --engine: which scheduler steps each simulation point.
-  EngineMode engine = EngineMode::kActive;
-  /// --sim-threads: engine threads per point (sharded engine only).
-  unsigned sim_threads = 1;
   /// --topology NAME, validated against the FabricRegistry; empty = bench
   /// default. Benches that simulate a selectable topology honor this.
   std::string topology;
@@ -98,14 +85,6 @@ struct BenchOptions {
   }
 
   RunnerOptions runner() const { return {threads, progress}; }
-
-  /// Apply the engine selection (and watchdog horizon) to an experiment
-  /// config.
-  void apply_engine(TrafficExperimentConfig* cfg) const {
-    cfg->engine = engine;
-    cfg->sim_threads = sim_threads;
-    cfg->stall_horizon = stall_horizon;
-  }
 };
 
 /// Resolve a topology name against the FabricRegistry; on an unknown name
@@ -128,6 +107,12 @@ BenchOptions parse_bench_options(int* argc, char** argv,
                                  bool accepts_topology = false,
                                  bool accepts_memory = false,
                                  bool accepts_checkpoint = false);
+
+/// Exits(2) naming the first argument past argv[@p consumed - 1] that
+/// parse_bench_options left behind. Benches call it once they have taken
+/// their positional arguments (none: @p consumed = 1).
+void reject_leftover_args(int argc, char** argv,
+                          const std::string& bench_name, int consumed = 1);
 
 /// Run one point honoring --checkpoint-every / --checkpoint-out / --restore:
 /// periodic mempool.ckpt.v1 images are written atomically (tmp + rename) so

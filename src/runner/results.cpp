@@ -44,10 +44,6 @@ Json sweep_to_json(const SweepResult& result) {
     rec.set("lambda", cfg.lambda);
     rec.set("p_local", cfg.p_local_seq);
     rec.set("seed", cfg.seed);
-    rec.set("engine", engine_mode_name(cfg.engine));
-    if (cfg.engine == EngineMode::kSharded) {
-      rec.set("sim_threads", static_cast<uint64_t>(cfg.sim_threads));
-    }
     rec.set("warmup_cycles", cfg.warmup_cycles);
     rec.set("measure_cycles", cfg.measure_cycles);
     rec.set("drain_cycles", cfg.drain_cycles);
@@ -118,15 +114,6 @@ SweepResult sweep_from_json(const Json& j) {
     cfg.lambda = rec.at("lambda").as_double();
     cfg.p_local_seq = rec.at("p_local").as_double();
     cfg.seed = rec.at("seed").as_uint();
-    // Which engine produced the point. All engines produce bit-identical
-    // physics; recorded for provenance. sim_threads is written only for
-    // sharded runs.
-    const std::string engine = rec.at("engine").as_string();
-    MEMPOOL_CHECK_MSG(engine_mode_from_name(engine, &cfg.engine),
-                      "unknown engine '" << engine << "'; available: "
-                                         << engine_mode_available());
-    cfg.sim_threads = static_cast<unsigned>(
-        rec.get("sim_threads", Json(uint64_t{1})).as_uint());
     cfg.warmup_cycles = rec.at("warmup_cycles").as_uint();
     cfg.measure_cycles = rec.at("measure_cycles").as_uint();
     cfg.drain_cycles = rec.at("drain_cycles").as_uint();

@@ -16,8 +16,10 @@
 // (or as a named sub-object): one record per point carrying the full config
 // axes and the measured TrafficPoint, so trajectories are self-describing.
 // The topology and the memory system are self-describing `{name, params}`
-// specs resolved against their registries on read. "engine" is always
-// written; "sim_threads" only for sharded points:
+// specs resolved against their registries on read. The engine is not
+// recorded: plan_engine picks it from the cluster and every engine gives
+// the same bits. Readers ignore the "engine"/"sim_threads" members that
+// older writers added.
 //
 //   {
 //     "schema": "mempool.sweep.v3",
@@ -29,7 +31,7 @@
 //        "scrambling": false, "num_tiles": 64,
 //        "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
 //        "seq_region_bytes": 4096, "num_groups": 4,
-//        "lambda": 0.33, "p_local": 0.25, "seed": 1, "engine": "active",
+//        "lambda": 0.33, "p_local": 0.25, "seed": 1,
 //        "warmup_cycles": 1000, "measure_cycles": 4000, "drain_cycles": 2000,
 //        "offered": 0.33, "generated": 0.331, "accepted": 0.329,
 //        "avg_latency": 5.9, "p95_latency": 11.0, "max_latency": 55.0,
@@ -53,7 +55,7 @@ namespace mempool::runner {
 Json sweep_to_json(const SweepResult& result);
 
 /// Inverse of sweep_to_json. Throws CheckError on any other schema, on
-/// schema violations (including a point without "memory" or "engine") and on
+/// schema violations (including a point without "memory") and on
 /// unknown topology / memory-system names (the error lists the registered
 /// plugins).
 SweepResult sweep_from_json(const Json& j);

@@ -163,9 +163,9 @@ uint64_t ShardGang::park_events() const {
   return st_->park_events.load(std::memory_order_acquire);
 }
 
-ShardCrew::ShardCrew(unsigned sim_threads, uint32_t num_shards) {
+ShardCrew::ShardCrew(unsigned threads, uint32_t num_shards) {
   const unsigned want =
-      std::min<unsigned>(std::max(1u, sim_threads), num_shards);
+      std::min<unsigned>(std::max(1u, threads), num_shards);
   if (want > 1) {
     pool_ = std::make_unique<ThreadPool>(want - 1);
     gang_ = std::make_unique<ShardGang>(pool_.get(), want);

@@ -16,7 +16,7 @@
 //   * helpers wait for the next epoch with a bounded spin and then *park* on
 //     a condition variable — a gang stepping a mostly-idle cluster (the
 //     engine evaluates light cycles inline without bumping the epoch) burns
-//     one core, not sim-threads cores. The leader wakes parked helpers only
+//     one core, not one core per thread. The leader wakes parked helpers only
 //     when the parked counter says someone is actually asleep, so the steady
 //     busy state stays syscall-free.
 //   * participation is *optional*: a helper that the pool has not scheduled
@@ -75,14 +75,14 @@ class ShardGang final : public ShardExecutor {
 };
 
 /// A gang plus the private pool its helpers live on, sized for stepping one
-/// cluster: min(sim_threads, num_shards) participants including the caller.
+/// cluster: min(threads, num_shards) participants including the caller.
 /// Owns the destruction-order invariant (the gang joins its helpers before
 /// the pool joins its workers) so call sites cannot get it subtly wrong.
 /// executor() is null when one thread suffices — pass it to
 /// Engine::set_sharded either way.
 class ShardCrew {
  public:
-  ShardCrew(unsigned sim_threads, uint32_t num_shards);
+  ShardCrew(unsigned threads, uint32_t num_shards);
   ~ShardCrew();  // out of line: ThreadPool is only forward-declared here
   ShardExecutor* executor() { return gang_ ? gang_.get() : nullptr; }
 

@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "mem/memsys.hpp"
 #include "noc/fabric.hpp"
-#include "sim/shard.hpp"
 
 namespace mempool::serve {
 
@@ -66,8 +65,7 @@ constexpr const char* kRequestFields[] = {
     "topology",      "memory",          "scrambling",       "num_tiles",
     "cores_per_tile", "banks_per_tile", "bank_bytes",       "seq_region_bytes",
     "num_groups",    "lambda",          "p_local",          "seed",
-    "engine",        "sim_threads",     "warmup_cycles",    "measure_cycles",
-    "drain_cycles",  "stall_horizon",
+    "warmup_cycles", "measure_cycles",  "drain_cycles",     "stall_horizon",
     // Delivery metadata, accepted on the wire but excluded from the
     // canonical serialization (it must not split the cache key space).
     "deadline_ms"};
@@ -138,13 +136,6 @@ SimRequest SimRequest::from_json(const Json& j) {
   cfg.lambda = j.get("lambda", Json(cfg.lambda)).as_double();
   cfg.p_local_seq = j.get("p_local", Json(cfg.p_local_seq)).as_double();
   cfg.seed = j.get("seed", Json(cfg.seed)).as_uint();
-  const std::string engine =
-      j.get("engine", Json(engine_mode_name(cfg.engine))).as_string();
-  MEMPOOL_CHECK_MSG(engine_mode_from_name(engine, &cfg.engine),
-                    "unknown engine '" << engine << "'; available: "
-                                       << engine_mode_available());
-  cfg.sim_threads = static_cast<unsigned>(
-      j.get("sim_threads", Json(uint64_t{1})).as_uint());
   cfg.warmup_cycles = j.get("warmup_cycles", Json(cfg.warmup_cycles)).as_uint();
   cfg.measure_cycles =
       j.get("measure_cycles", Json(cfg.measure_cycles)).as_uint();
@@ -171,14 +162,6 @@ Json SimRequest::to_json() const {
   j.set("lambda", config.lambda);
   j.set("p_local", config.p_local_seq);
   j.set("seed", config.seed);
-  j.set("engine", engine_mode_name(config.engine));
-  // sim_threads cannot influence the sequential engines, and even the
-  // sharded engine is bit-identical for every thread count — but it is kept
-  // in the canonical form (normalized where meaningless) as provenance of
-  // how the point would be executed.
-  j.set("sim_threads",
-        uint64_t{config.engine == EngineMode::kSharded ? config.sim_threads
-                                                       : 1u});
   j.set("warmup_cycles", config.warmup_cycles);
   j.set("measure_cycles", config.measure_cycles);
   j.set("drain_cycles", config.drain_cycles);
@@ -222,7 +205,6 @@ void SimRequest::validate() const {
   MEMPOOL_CHECK_MSG(config.measure_cycles >= 1,
                     "measure_cycles must be >= 1 (an empty measure window "
                     "has no defined throughput)");
-  MEMPOOL_CHECK_MSG(config.sim_threads >= 1, "sim_threads must be >= 1");
 }
 
 Json SimResult::to_json() const {
@@ -251,20 +233,14 @@ SimResult SimResult::from_json(const Json& j) {
   return r;
 }
 
-SimResult run_point(const SimRequest& req) {
-  req.validate();
-  SimResult r;
-  r.request_key = req.key();
-  r.point = run_traffic_point(req.config);
-  return r;
-}
-
-SimResult run_point(const SimRequest& req, CheckpointOptions ckpt) {
+SimResult run_point(const SimRequest& req, CheckpointOptions ckpt,
+                    unsigned spare_threads) {
   req.validate();
   SimResult r;
   r.request_key = req.key();
   ckpt.key = r.request_key;
-  r.point = run_traffic_point(req.config, ckpt);
+  r.point = run_traffic_point(
+      req.config, plan_engine(req.config.cluster, spare_threads), ckpt);
   return r;
 }
 

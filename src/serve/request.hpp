@@ -7,13 +7,15 @@
 //
 //   SimRequest  names everything that influences the physics of a point
 //               (topology spec, memory spec, cluster geometry, λ, p_local,
-//               seed, engine, cycle windows) and defines a *canonical
+//               seed, cycle windows) and defines a *canonical
 //               serialization*: fixed field order, every defaulted field
 //               made explicit, plugin params sorted by key, numeric types
 //               normalized. Two requests that mean the same point therefore
 //               serialize to the same bytes regardless of member order,
 //               whitespace, or which fields the sender spelled out — and the
-//               content hash over those bytes is a stable cache key.
+//               content hash over those bytes is a stable cache key. The
+//               engine is not part of it: plan_engine picks it from the
+//               cluster, and every engine gives the same bits.
 //
 //   SimResult   mirrors the measured half of a mempool.sweep.v3 point
 //               (offered/generated/accepted, latency stats, completed) plus
@@ -32,6 +34,7 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "runner/thread_pool.hpp"
 #include "traffic/experiment.hpp"
 
 namespace mempool::serve {
@@ -62,15 +65,13 @@ struct SimRequest {
   /// optional; absent fields take the canonical defaults — the cluster
   /// geometry defaults to ClusterConfig::paper(topology, scrambling), so
   /// `{"topology": "TopH2"}` means the plugin's canonical 1024-core cluster.
-  /// Unknown members, unknown topology / memory / engine names, and
-  /// ill-typed values throw CheckError naming what would be valid.
+  /// Unknown members, unknown topology / memory names, and ill-typed values
+  /// throw CheckError naming what would be valid.
   static SimRequest from_json(const Json& j);
 
   /// Canonical serialization: fixed member order, explicit defaults, params
   /// sorted by key (std::map order), λ/p_local emitted as doubles and the
-  /// integer fields as integers regardless of how the sender typed them,
-  /// sim_threads normalized to 1 for the sequential engines (it cannot
-  /// influence their results).
+  /// integer fields as integers regardless of how the sender typed them.
   Json to_json() const;
 
   /// to_json() dumped without whitespace — the byte string that is hashed.
@@ -88,8 +89,7 @@ struct SimRequest {
 
   /// Throws CheckError when the point cannot be simulated: invalid cluster
   /// geometry / plugin params (ClusterConfig::validate), non-finite or
-  /// negative λ, p_local outside [0,1], an empty measure window, or zero
-  /// sim_threads.
+  /// negative λ, p_local outside [0,1], or an empty measure window.
   void validate() const;
 
   /// Canonical equality: same point, independent of representation.
@@ -111,13 +111,13 @@ struct SimResult {
 /// The single simulation entry shared by benches, the sweep runner, and the
 /// server: validate @p req, run it, and return the measured point. Pure and
 /// thread-safe like run_traffic_point; throws CheckError on invalid requests.
-SimResult run_point(const SimRequest& req);
-
-/// Checkpoint-aware variant (same result bit for bit): the point can be
-/// periodically snapshotted, resumed from an image, and aborted between
-/// chunks — see CheckpointOptions. The service uses this to survive daemon
-/// restarts and to enforce deadlines mid-run. @p ckpt.key is overridden
-/// with req.key() so images are always stamped with the content hash.
-SimResult run_point(const SimRequest& req, CheckpointOptions ckpt);
+/// @p ckpt makes the run snapshottable, resumable and abortable between
+/// chunks (same result bit for bit); its key is overridden with req.key() so
+/// images are always stamped with the content hash. @p spare_threads is the
+/// share of the host this point may use (plan_engine); the default takes
+/// the caller to run this point alone.
+SimResult run_point(
+    const SimRequest& req, CheckpointOptions ckpt = {},
+    unsigned spare_threads = runner::ThreadPool::default_threads());
 
 }  // namespace mempool::serve

@@ -31,35 +31,6 @@ const char* engine_mode_name(EngineMode m) {
   return "?";
 }
 
-const char* engine_mode_available() { return "active, dense, sharded"; }
-
-const char* engine_mode_description(EngineMode m) {
-  switch (m) {
-    case EngineMode::kActive:
-      return "sequential activity-driven scheduler (default): evaluates only "
-             "woken components";
-    case EngineMode::kDense:
-      return "evaluate-everything oracle: slowest, the equivalence baseline";
-    case EngineMode::kSharded:
-      return "activity-driven with per-group shards stepped in parallel "
-             "(--sim-threads)";
-  }
-  return "?";
-}
-
-bool engine_mode_from_name(const std::string& name, EngineMode* out) {
-  if (name == "active") {
-    *out = EngineMode::kActive;
-  } else if (name == "dense") {
-    *out = EngineMode::kDense;
-  } else if (name == "sharded") {
-    *out = EngineMode::kSharded;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Engine::Engine() = default;
 Engine::~Engine() = default;
 

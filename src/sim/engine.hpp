@@ -26,20 +26,24 @@
 //     component and nothing staged, the cluster cannot wake itself before
 //     the next timer (or ever, if none is armed), so run() fast-forwards the
 //     dead cycles and run_until_idle() returns.
-//   * dense (set_dense(true), the benches' --engine=dense escape hatch):
-//     evaluate every component and commit every registered element each
-//     cycle — the original scheduler, kept as the equivalence oracle. Both
-//     modes are cycle-for-cycle bit-identical (tests/test_sim_equivalence):
-//     an idle component's evaluate() is a no-op by contract, and wake events
+//   * dense (set_dense(true)): evaluate every component and commit every
+//     registered element each cycle — the original scheduler, kept as the
+//     equivalence oracle that tests force explicitly. Both modes are
+//     cycle-for-cycle bit-identical (tests/test_sim_equivalence): an idle
+//     component's evaluate() is a no-op by contract, and wake events
 //     strictly precede the evaluation that observes them thanks to the
 //     topological order (all combinational edges point forward; backward
 //     edges are registered and wake at the commit edge for the next cycle).
-//   * sharded (set_sharded, --engine=sharded): the activity-driven scheduler
-//     with the component graph partitioned into per-group shards evaluated
+//   * sharded (set_sharded): the activity-driven scheduler with the
+//     component graph partitioned into per-group shards evaluated
 //     concurrently and latched at a per-cycle commit barrier — see
 //     sim/shard.hpp for the structure and the determinism argument. Results
 //     are bit-identical to the active engine for any shard count and any
 //     thread schedule.
+//
+// No user option picks the mode: plan_engine (sim/shard.hpp) shards
+// clusters of kShardedMinCores cores and more and runs the rest on the
+// active engine; run_traffic_point and System apply that plan.
 
 #include <algorithm>
 #include <array>
@@ -158,8 +162,8 @@ class Engine {
   }
 
   /// Select the scheduler: false (default) = activity-driven, true = dense
-  /// evaluate-everything (the --engine=dense escape hatch / equivalence
-  /// oracle). May be toggled between steps; both modes see the same state.
+  /// evaluate-everything (the equivalence oracle). May be toggled between
+  /// steps; both modes see the same state.
   /// Mutually exclusive with set_sharded().
   void set_dense(bool dense) {
     MEMPOOL_CHECK_MSG(!dense || num_shards_ == 0,

@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -52,6 +51,7 @@
 namespace mempool {
 
 class Component;
+struct ClusterConfig;
 
 /// Bucketed timer wheel with structure-of-arrays storage: entries live in
 /// one contiguous pool chained per slot through indices, instead of one
@@ -113,21 +113,43 @@ class TimerWheel {
   }();
 };
 
-/// Which scheduler steps the engine (and, downstream, a bench's --engine
-/// flag): dense = evaluate everything (the equivalence oracle), active = the
-/// sequential activity-driven scheduler, sharded = activity-driven with the
-/// component graph partitioned into per-group shards stepped in parallel.
+/// Which scheduler steps the engine: dense = evaluate everything (the
+/// equivalence oracle), active = the sequential activity-driven scheduler,
+/// sharded = activity-driven with the component graph partitioned into
+/// per-group shards stepped in parallel. All three are bit-identical.
 enum class EngineMode : uint8_t { kActive, kDense, kSharded };
 
 const char* engine_mode_name(EngineMode m);
-/// Inverse of engine_mode_name; returns false on an unknown name.
-bool engine_mode_from_name(const std::string& name, EngineMode* out);
-/// The valid --engine names as one comma-separated string ("active, dense,
-/// sharded") — the single source every unknown-engine error quotes, mirroring
-/// FabricRegistry::available() / MemoryRegistry::available().
-const char* engine_mode_available();
-/// One-line description of @p m for --list-engines.
-const char* engine_mode_description(EngineMode m);
+
+/// How one cluster is stepped: the scheduler and, for kSharded, how many
+/// threads step its shards (the caller included; 1 = every shard inline on
+/// the caller, still bit-identical).
+struct EnginePlan {
+  EngineMode mode = EngineMode::kActive;
+  unsigned threads = 1;
+
+  bool operator==(const EnginePlan&) const = default;
+};
+
+/// Smallest cluster the sharded engine steps. Whole-process wall time of one
+/// traffic_explorer point (4-CPU host, Release, 3 runs each, identical
+/// output): at TopH2 (1024 cores) λ=0.33 active takes 3.60-4.01 s and
+/// sharded on 4 threads 1.48-1.84 s (2.3x at the medians); at TopH
+/// (256 cores) λ=0.33 sharded gains nothing (0.38-0.45 s against
+/// 0.33-0.47 s), and at λ=0.05 it loses at every thread count (ROADMAP
+/// item 3). Sharded on one thread runs as fast as active (3.83-4.72 s at
+/// TopH2 λ=0.33; a 4-worker TopH2 sweep 8.36-9.89 s against 8.14-9.92 s),
+/// so a point without spare threads loses nothing.
+inline constexpr uint32_t kShardedMinCores = 1024;
+
+/// The engine for one point of @p cfg when @p spare_threads host threads may
+/// step it. The mode depends on the config alone (kSharded from
+/// kShardedMinCores cores up, else kActive), never on the host, so a
+/// checkpoint image (one monitor section per shard) restores on any host.
+/// threads = min(spare_threads, the fabric's shard count), at least 1;
+/// always 1 for kActive. Defined in core/cluster_config.cpp, which knows the
+/// fabric's partition.
+EnginePlan plan_engine(const ClusterConfig& cfg, unsigned spare_threads);
 
 /// Per-shard working set of the sharded engine. Everything a shard's thread
 /// touches while evaluating lives here (or in the components themselves), so

@@ -10,6 +10,7 @@
 #include "mem/imem.hpp"
 #include "noc/monitor.hpp"
 #include "runner/shard_gang.hpp"
+#include "runner/thread_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
 #include "traffic/generator.hpp"
@@ -24,21 +25,29 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
 TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
                                const CheckpointOptions& ckpt,
                                TrafficCounters* counters_out) {
+  return run_traffic_point(
+      ecfg, plan_engine(ecfg.cluster, runner::ThreadPool::default_threads()),
+      ckpt, counters_out);
+}
+
+TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
+                               const EnginePlan& plan,
+                               const CheckpointOptions& ckpt,
+                               TrafficCounters* counters_out) {
   const ClusterConfig& ccfg = ecfg.cluster;
   ccfg.validate();
 
   InstrMem imem(4096);  // unused by generators, required by the tile I$.
   Engine engine;
-  engine.set_dense(ecfg.engine == EngineMode::kDense);
+  engine.set_dense(plan.mode == EngineMode::kDense);
   Cluster cluster(ccfg, &imem);
 
   // Sharded mode: every shard records into its own monitor (a shared one
   // would be written concurrently); the per-shard monitors merge exactly
   // after the run (see noc/monitor.hpp), so the reported point is
   // bit-identical to the sequential engines'. The gang's helper threads live
-  // on a point-private pool — sweep-level parallelism (runner --threads) and
-  // engine-level parallelism (--sim-threads) stay independent.
-  const bool sharded = ecfg.engine == EngineMode::kSharded;
+  // on a point-private pool, apart from any pool running points side by side.
+  const bool sharded = plan.mode == EngineMode::kSharded;
   const uint32_t num_monitors = sharded ? cluster.num_shards() : 1;
   std::deque<LatencyMonitor> monitors;
   for (uint32_t s = 0; s < num_monitors; ++s) {
@@ -48,7 +57,7 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
 
   std::unique_ptr<runner::ShardCrew> crew;
   if (sharded) {
-    crew = std::make_unique<runner::ShardCrew>(ecfg.sim_threads,
+    crew = std::make_unique<runner::ShardCrew>(plan.threads,
                                                cluster.num_shards());
     engine.set_sharded(cluster.num_shards(), crew->executor());
   }

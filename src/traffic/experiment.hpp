@@ -22,16 +22,6 @@ struct TrafficExperimentConfig {
   uint64_t measure_cycles = 4000;
   uint64_t drain_cycles = 2000;
   uint64_t seed = 1;
-  /// Which scheduler steps the point (the benches' --engine flag): active
-  /// (default), dense (the evaluate-everything oracle), or sharded (the
-  /// activity-driven scheduler parallelized over the fabric's groups).
-  /// Results are bit-identical across all three; only wall-clock differs.
-  EngineMode engine = EngineMode::kActive;
-  /// Sharded engine only: threads stepping one point's cluster (leader +
-  /// sim_threads-1 pool helpers), capped by the topology's shard count.
-  /// Orthogonal to the sweep runner's --threads, which parallelizes across
-  /// points.
-  unsigned sim_threads = 1;
   /// Progress watchdog (Engine::set_stall_horizon): a buffer that stays
   /// non-empty for this many cycles without a single pop aborts the point
   /// with a LivenessError carrying a mempool.liveness.v1 report instead of
@@ -125,9 +115,14 @@ struct CheckpointOptions {
 /// runner (src/runner/) relies on this to shard points across threads with
 /// bit-identical results for any thread count.
 ///
+/// The engine is plan_engine(cfg.cluster, ThreadPool::default_threads()):
+/// the caller is taken to run this point alone. Callers that run points
+/// concurrently pass their share of the host through the explicit-plan
+/// overload instead.
+///
 /// @p counters_out, when non-null, receives the full monitor + fabric
-/// counter set (the cycle-equivalence tests assert these match between the
-/// activity-driven and dense engines).
+/// counter set (the cycle-equivalence tests assert these match between
+/// engine modes).
 TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
                                TrafficCounters* counters_out = nullptr);
 
@@ -137,6 +132,14 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
 /// run can be snapshotted, resumed, and aborted via @p ckpt.
 TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
                                const CheckpointOptions& ckpt,
+                               TrafficCounters* counters_out = nullptr);
+
+/// Explicit-plan variant: steps the point with @p plan. The result is the
+/// same for every plan; a checkpoint image restores under any plan of the
+/// same mode (the monitor layout follows the mode, not the thread count).
+TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
+                               const EnginePlan& plan,
+                               const CheckpointOptions& ckpt = {},
                                TrafficCounters* counters_out = nullptr);
 
 /// Sweep λ over @p loads with otherwise fixed parameters, one point after

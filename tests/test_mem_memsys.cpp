@@ -242,7 +242,7 @@ struct DmaRunResult {
   SnitchCore::Stats cores;
 };
 
-DmaRunResult run_dma_roundtrip(EngineMode mode, unsigned sim_threads) {
+DmaRunResult run_dma_roundtrip(EngineMode mode, unsigned threads) {
   const ClusterConfig cfg = l2_mini();
   const kernels::RuntimeLayout layout = kernels::make_runtime_layout(cfg);
   const uint32_t words = 1024;  // spans all 4 groups under the hybrid map
@@ -251,7 +251,7 @@ DmaRunResult run_dma_roundtrip(EngineMode mode, unsigned sim_threads) {
   const uint32_t l2_out = kL2Base + 64 * 1024;
 
   System sys(cfg);
-  sys.configure_engine(mode, sim_threads);
+  sys.configure_engine(mode, threads);
   sys.load_program(
       dma_roundtrip_program(cfg, spm_base, words, l2_in, l2_out));
   for (uint32_t i = 0; i < words; ++i) {

@@ -257,7 +257,7 @@ TEST(ResultsJson, RejectsOtherSchemasAndIncompleteV3Points) {
        "scrambling": true, "num_tiles": 16,
        "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
        "seq_region_bytes": 4096, "num_groups": 4,
-       "lambda": 0.25, "p_local": 0.5, "seed": 7, "engine": "dense",
+       "lambda": 0.25, "p_local": 0.5, "seed": 7,
        "warmup_cycles": 50, "measure_cycles": 200, "drain_cycles": 100,
        "offered": 0.25, "generated": 0.251, "accepted": 0.249,
        "avg_latency": 4.125, "p95_latency": 9.0, "max_latency": 31.0,
@@ -308,7 +308,7 @@ TEST(ResultsJson, RejectsOtherSchemasAndIncompleteV3Points) {
          with_schema(speedup, std::string("mempool.speedup.") + version), true,
          "mempool.speedup.v3"});
   }
-  for (const char* member : {"memory", "engine"}) {
+  for (const char* member : {"memory", "seed"}) {
     rows.push_back({std::string("v3 sweep point without ") + member,
                     without_point_member(member), false, member});
   }
@@ -427,23 +427,6 @@ TEST(SpeedupJson, ReadsV3WithPaperPointBlock) {
     "aggregate_sharded_speedup": 1.0, "points": []
   })")),
                CheckError);
-}
-
-TEST(SweepJson, ShardedEngineRoundTrips) {
-  // A sharded point's engine + sim_threads survive the v3 round trip.
-  TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::mini("TopH", false);
-  cfg.engine = EngineMode::kSharded;
-  cfg.sim_threads = 8;
-  cfg.lambda = 0.1;
-  runner::SweepResult res;
-  res.configs = {cfg};
-  res.points = {TrafficPoint{}};
-  const runner::SweepResult back =
-      runner::sweep_from_json(runner::sweep_to_json(res));
-  ASSERT_EQ(back.configs.size(), 1u);
-  EXPECT_EQ(back.configs[0].engine, EngineMode::kSharded);
-  EXPECT_EQ(back.configs[0].sim_threads, 8u);
 }
 
 }  // namespace

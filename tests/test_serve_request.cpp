@@ -50,7 +50,6 @@ TEST(SimRequest, ExplicitDefaultsHashLikeOmittedOnes) {
     "num_tiles": 64, "cores_per_tile": 4, "banks_per_tile": 16,
     "bank_bytes": 1024, "seq_region_bytes": 4096, "num_groups": 4,
     "lambda": 0.1, "p_local": 0.0, "seed": 1,
-    "engine": "active", "sim_threads": 1,
     "warmup_cycles": 1000, "measure_cycles": 4000, "drain_cycles": 2000})");
   EXPECT_EQ(implicit.key(), spelled.key());
 }
@@ -62,19 +61,10 @@ TEST(SimRequest, NumericTypingIsNormalized) {
   EXPECT_EQ(a.canonical(), b.canonical());
 }
 
-TEST(SimRequest, SimThreadsIsNormalizedForSequentialEngines) {
-  // sim_threads cannot influence the active/dense engines, so it must not
-  // split the cache key for them.
-  const SimRequest one = parse(R"({"engine": "active", "sim_threads": 1})");
-  const SimRequest four = parse(R"({"engine": "active", "sim_threads": 4})");
-  EXPECT_EQ(one.key(), four.key());
-}
-
 TEST(SimRequest, PhysicsFieldsChangeTheKey) {
   const SimRequest base = parse(R"({"topology": "TopH"})");
   const char* variants[] = {
       R"({"topology": "TopH", "seed": 2})",
-      R"({"topology": "TopH", "engine": "dense"})",
       R"({"topology": "TopH", "memory": "tcdm+l2"})",
       R"({"topology": "TopH", "lambda": 0.2})",
       R"({"topology": "TopH", "p_local": 0.5})",
@@ -110,7 +100,23 @@ TEST(SimRequest, UnknownMembersAreRejectedNamingTheSchema) {
   }
 }
 
-TEST(SimRequest, UnknownPluginAndEngineNamesListTheAlternatives) {
+TEST(SimRequest, EngineMembersAreUnknown) {
+  // The engine is planned from the cluster (plan_engine), so a request
+  // cannot name one: "engine" and "sim_threads" fail like any typo.
+  for (const char* text :
+       {R"({"engine": "active"})", R"({"sim_threads": 4})"}) {
+    try {
+      parse(text);
+      ADD_FAILURE() << text << ": expected CheckError";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown request member"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("lambda"), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(SimRequest, UnknownPluginNamesListTheAlternatives) {
   try {
     parse(R"({"topology": "TopZ"})");
     FAIL() << "expected CheckError";
@@ -119,13 +125,6 @@ TEST(SimRequest, UnknownPluginAndEngineNamesListTheAlternatives) {
     EXPECT_NE(std::string(e.what()).find("TopH"), std::string::npos);
   }
   EXPECT_THROW(parse(R"({"memory": "warp-drive"})"), CheckError);
-  try {
-    parse(R"({"engine": "quantum"})");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("active"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("sharded"), std::string::npos);
-  }
 }
 
 TEST(SimRequest, JsonRoundTripIsExact) {

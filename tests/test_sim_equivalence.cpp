@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -40,25 +41,24 @@ TrafficExperimentConfig traffic_cfg(const TopologySpec& topo, bool scramble,
   return e;
 }
 
-void expect_engines_equivalent(TrafficExperimentConfig cfg,
+void expect_engines_equivalent(const TrafficExperimentConfig& cfg,
                                const std::string& what) {
   TrafficCounters ca, cd;
-  cfg.engine = EngineMode::kActive;
-  const TrafficPoint pa = run_traffic_point(cfg, &ca);
-  cfg.engine = EngineMode::kDense;
-  const TrafficPoint pd = run_traffic_point(cfg, &cd);
+  const TrafficPoint pa =
+      run_traffic_point(cfg, {EngineMode::kActive}, {}, &ca);
+  const TrafficPoint pd =
+      run_traffic_point(cfg, {EngineMode::kDense}, {}, &cd);
   EXPECT_EQ(pa, pd) << what << ": latency/throughput table diverged";
   EXPECT_EQ(ca, cd) << what << ": monitor/fabric counters diverged";
 }
 
-void expect_sharded_equivalent(TrafficExperimentConfig cfg,
-                               unsigned sim_threads, const std::string& what) {
+void expect_sharded_equivalent(const TrafficExperimentConfig& cfg,
+                               unsigned threads, const std::string& what) {
   TrafficCounters ca, cs;
-  cfg.engine = EngineMode::kActive;
-  const TrafficPoint pa = run_traffic_point(cfg, &ca);
-  cfg.engine = EngineMode::kSharded;
-  cfg.sim_threads = sim_threads;
-  const TrafficPoint ps = run_traffic_point(cfg, &cs);
+  const TrafficPoint pa =
+      run_traffic_point(cfg, {EngineMode::kActive}, {}, &ca);
+  const TrafficPoint ps =
+      run_traffic_point(cfg, {EngineMode::kSharded, threads}, {}, &cs);
   EXPECT_EQ(pa, ps) << what << ": latency/throughput table diverged";
   EXPECT_EQ(ca, cs) << what << ": monitor/fabric counters diverged";
 }
@@ -353,13 +353,12 @@ TEST(ShardedEquivalenceExec, SnitchMatmul256CoresBitIdentical) {
 class CheckpointEquivalence : public ::testing::TestWithParam<EngineMode> {};
 
 TEST_P(CheckpointEquivalence, RestoredRunBitIdentical) {
-  TrafficExperimentConfig cfg =
-      traffic_cfg("TopH", true, 0.25, 0.5);
-  cfg.engine = GetParam();
-  if (cfg.engine == EngineMode::kSharded) cfg.sim_threads = 4;
+  const TrafficExperimentConfig cfg = traffic_cfg("TopH", true, 0.25, 0.5);
+  const EnginePlan plan{GetParam(),
+                        GetParam() == EngineMode::kSharded ? 4u : 1u};
 
   TrafficCounters c_plain;
-  const TrafficPoint p_plain = run_traffic_point(cfg, &c_plain);
+  const TrafficPoint p_plain = run_traffic_point(cfg, plan, {}, &c_plain);
 
   // Chunked: checkpoint every 300 cycles, keep the image nearest mid-run.
   std::string image;
@@ -370,7 +369,8 @@ TEST_P(CheckpointEquivalence, RestoredRunBitIdentical) {
     if (cycle == 600) image = img;
   };
   TrafficCounters c_chunked;
-  const TrafficPoint p_chunked = run_traffic_point(cfg, save, &c_chunked);
+  const TrafficPoint p_chunked =
+      run_traffic_point(cfg, plan, save, &c_chunked);
   EXPECT_EQ(p_plain, p_chunked) << "chunked run diverged";
   EXPECT_EQ(c_plain, c_chunked) << "chunked counters diverged";
   ASSERT_FALSE(image.empty()) << "no checkpoint captured at cycle 600";
@@ -380,7 +380,7 @@ TEST_P(CheckpointEquivalence, RestoredRunBitIdentical) {
   resume.key = "equiv";
   resume.restore_from = &image;
   TrafficCounters c_res;
-  const TrafficPoint p_res = run_traffic_point(cfg, resume, &c_res);
+  const TrafficPoint p_res = run_traffic_point(cfg, plan, resume, &c_res);
   EXPECT_EQ(p_plain, p_res) << "restored run diverged";
   EXPECT_EQ(c_plain, c_res) << "restored counters diverged";
 }
@@ -415,20 +415,53 @@ TEST(CheckpointEquivalence2, ActiveImageResumesUnderDenseNotSharded) {
   run_traffic_point(cfg, save);
   ASSERT_FALSE(image.empty());
 
-  TrafficExperimentConfig dense = cfg;
-  dense.engine = EngineMode::kDense;
   CheckpointOptions resume;
   resume.key = "xengine";
   resume.restore_from = &image;
   TrafficCounters c_res;
-  const TrafficPoint p_res = run_traffic_point(dense, resume, &c_res);
+  const TrafficPoint p_res =
+      run_traffic_point(cfg, {EngineMode::kDense}, resume, &c_res);
   EXPECT_EQ(p_plain, p_res) << "dense resume from active image diverged";
   EXPECT_EQ(c_plain, c_res) << "dense resume counters diverged";
 
-  TrafficExperimentConfig sharded = cfg;
-  sharded.engine = EngineMode::kSharded;
-  sharded.sim_threads = 4;
-  EXPECT_THROW(run_traffic_point(sharded, resume), CheckError);
+  EXPECT_THROW(run_traffic_point(cfg, {EngineMode::kSharded, 4}, resume),
+               CheckError);
+}
+
+TEST(CheckpointEquivalence2, ShardedImageRestoresUnderAnyThreadBudget) {
+  // plan_engine fixes the mode from the config alone, so the monitor layout
+  // of a sharded image does not depend on the host: a TopH2 point
+  // checkpointed with four threads resumes bit-identically on one.
+  TrafficExperimentConfig cfg;
+  cfg.cluster = ClusterConfig::paper("TopH2", false);
+  cfg.lambda = 0.05;
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 200;
+  cfg.drain_cycles = 100;
+  const EnginePlan wide = plan_engine(cfg.cluster, 4);
+  const EnginePlan narrow = plan_engine(cfg.cluster, 1);
+  ASSERT_EQ(wide.mode, EngineMode::kSharded);
+  ASSERT_EQ(narrow.mode, EngineMode::kSharded);
+  ASSERT_EQ(narrow.threads, 1u);
+
+  std::string image;
+  CheckpointOptions save;
+  save.checkpoint_every = 200;
+  save.key = "toph2";
+  save.on_checkpoint = [&](uint64_t cycle, const std::string& img) {
+    if (cycle == 200) image = img;
+  };
+  TrafficCounters c_wide;
+  const TrafficPoint p_wide = run_traffic_point(cfg, wide, save, &c_wide);
+  ASSERT_FALSE(image.empty());
+
+  CheckpointOptions resume;
+  resume.key = "toph2";
+  resume.restore_from = &image;
+  TrafficCounters c_res;
+  const TrafficPoint p_res = run_traffic_point(cfg, narrow, resume, &c_res);
+  EXPECT_EQ(p_wide, p_res) << "one-thread resume of a four-thread image";
+  EXPECT_EQ(c_wide, c_res);
 }
 
 TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
@@ -545,6 +578,25 @@ TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
   EXPECT_EQ(active_completed, dense_completed);
   EXPECT_LT(active_evals * 3, dense_evals)
       << "active set should do <1/3 of the dense evaluations at λ=0.02";
+}
+
+// The engine picks itself: the mode follows the cluster size alone, the
+// thread count follows the host budget and the fabric's shard count.
+TEST(EnginePlan, ShardsFromTheThresholdUpWithTheBudgetCappedByShards) {
+  const ClusterConfig toph2 = ClusterConfig::paper("TopH2", false);
+  const uint32_t shards = FabricRegistry::get("TopH2").num_shards(toph2);
+  ASSERT_GE(toph2.num_cores(), kShardedMinCores);
+  ASSERT_GT(shards, 1u);
+  for (unsigned budget : {0u, 1u, 2u, 4u, 64u}) {
+    SCOPED_TRACE(budget);
+    EXPECT_EQ(plan_engine(ClusterConfig::paper("TopH", false), budget),
+              EnginePlan{});
+    EXPECT_EQ(plan_engine(ClusterConfig::mini("TopH", true), budget),
+              EnginePlan{});
+    const EnginePlan p = plan_engine(toph2, budget);
+    EXPECT_EQ(p.mode, EngineMode::kSharded);
+    EXPECT_EQ(p.threads, std::max(1u, std::min<unsigned>(budget, shards)));
+  }
 }
 
 }  // namespace

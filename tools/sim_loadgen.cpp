@@ -68,7 +68,6 @@ struct Options {
   uint64_t coalesce = 0;     ///< Identical in-flight requests to demo dedupe.
   uint64_t seed = 1;
   std::string topology = "TopH";
-  std::string engine = "active";
   double min_hit_rate = -1;  ///< <0 = don't assert.
   int wait_ms = 0;           ///< Connect retry budget.
   bool verify = false;
@@ -96,7 +95,6 @@ void usage(const char* argv0) {
       "  --coalesce K        also fire K identical in-flight requests and\n"
       "                      assert at most one computes (default 0 = skip)\n"
       "  --topology NAME     fabric plugin for the points (default TopH)\n"
-      "  --engine NAME       engine for the points (default active)\n"
       "  --seed N            base seed for the point grid (default 1)\n"
       "  --verify            recompute every unique point locally and require\n"
       "                      bit-identical server results\n"
@@ -130,9 +128,6 @@ SimRequest make_request(const Options& opt, uint64_t index) {
   cfg.measure_cycles = 200;
   cfg.drain_cycles = 100;
   cfg.seed = opt.seed + index / 8;
-  MEMPOOL_CHECK_MSG(mempool::engine_mode_from_name(opt.engine, &cfg.engine),
-                    "unknown engine '" << opt.engine << "'; available: "
-                                       << mempool::engine_mode_available());
   return SimRequest::from_config(cfg);
 }
 
@@ -211,8 +206,6 @@ SimRequest make_slow_request(const Options& opt) {
   cfg.measure_cycles = opt.slow_cycles;
   cfg.drain_cycles = 100;
   cfg.seed = opt.seed + 777;
-  MEMPOOL_CHECK_MSG(mempool::engine_mode_from_name(opt.engine, &cfg.engine),
-                    "unknown engine '" << opt.engine << "'");
   return SimRequest::from_config(cfg);
 }
 
@@ -362,8 +355,6 @@ int main(int argc, char** argv) {
       opt.coalesce = std::stoull(value());
     } else if (arg == "--topology") {
       opt.topology = value();
-    } else if (arg == "--engine") {
-      opt.engine = value();
     } else if (arg == "--seed") {
       opt.seed = std::stoull(value());
     } else if (arg == "--verify") {
