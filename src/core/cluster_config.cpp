@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "mem/memsys.hpp"
 #include "noc/fabric.hpp"
+#include "runner/thread_pool.hpp"
 #include "sim/shard.hpp"
 
 namespace mempool {
@@ -137,12 +138,13 @@ ClusterConfig ClusterConfig::mini(const TopologySpec& spec, bool scrambling) {
   return FabricRegistry::get(spec.name).mini_config(spec, scrambling);
 }
 
-EnginePlan plan_engine(const ClusterConfig& cfg, unsigned spare_threads) {
-  if (cfg.num_cores() < kShardedMinCores) return {};
+EnginePlan plan_engine(const ClusterConfig& cfg, unsigned concurrent) {
+  const unsigned budget =
+      runner::ThreadPool::default_threads() / std::max(1u, concurrent);
+  if (cfg.num_cores() < kShardedMinCores || budget < 2) return {};
   const uint32_t shards =
       FabricRegistry::get(cfg.topology.name).num_shards(cfg);
-  return {EngineMode::kSharded,
-          std::max(1u, std::min<unsigned>(spare_threads, shards))};
+  return {EngineMode::kSharded, std::min<unsigned>(budget, shards)};
 }
 
 }  // namespace mempool

@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "isa/decoder.hpp"
 #include "runner/shard_gang.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace mempool {
 
@@ -14,7 +13,7 @@ System::System(const ClusterConfig& cfg) : cfg_(cfg) {
 
 System::~System() = default;
 
-void System::configure_engine(EngineMode mode, unsigned threads) {
+void System::configure_engine(EngineMode mode, unsigned sim_threads) {
   // One-shot: re-configuring would have to tear down a live gang/pool pair
   // in the right order and un-shard the engine — no caller needs that, so
   // fail loudly instead of supporting it subtly wrong.
@@ -28,7 +27,7 @@ void System::configure_engine(EngineMode mode, unsigned threads) {
       engine_.set_dense(true);
       break;
     case EngineMode::kSharded:
-      crew_ = std::make_unique<runner::ShardCrew>(threads,
+      crew_ = std::make_unique<runner::ShardCrew>(sim_threads,
                                                   cluster_->num_shards());
       engine_.set_sharded(cluster_->num_shards(), crew_->executor());
       break;
@@ -40,11 +39,6 @@ void System::load_program(const std::vector<uint32_t>& words, uint32_t base,
   MEMPOOL_CHECK_MSG(!loaded_, "load_program called twice");
   MEMPOOL_CHECK(!words.empty());
   loaded_ = true;
-  if (!engine_configured_) {
-    const EnginePlan plan =
-        plan_engine(cfg_, runner::ThreadPool::default_threads());
-    configure_engine(plan.mode, plan.threads);
-  }
   program_base_ = base;
   if (boot_pc == 0) boot_pc = base;
   imem_.load(base, words);

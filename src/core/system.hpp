@@ -26,13 +26,12 @@ class System {
   explicit System(const ClusterConfig& cfg);
   ~System();
 
-  /// Force the scheduler stepping this system. Without this call,
-  /// load_program applies plan_engine(cfg, ThreadPool::default_threads()).
-  /// Sharded mode partitions the cluster along the fabric's groups and steps
-  /// the shards on @p threads threads (leader + pool helpers owned by the
+  /// Select the scheduler stepping this system (default: active). Sharded
+  /// mode partitions the cluster along the fabric's groups and steps the
+  /// shards on @p sim_threads threads (leader + pool helpers owned by the
   /// system), bit-identically to the sequential engines. Must be called
-  /// before load_program().
-  void configure_engine(EngineMode mode, unsigned threads = 1);
+  /// before the first run().
+  void configure_engine(EngineMode mode, unsigned sim_threads = 1);
 
   /// Load the program image and instantiate one Snitch core per core slot
   /// (all cores boot at @p boot_pc, defaulting to the image base). Must be

@@ -17,9 +17,9 @@
 // axes and the measured TrafficPoint, so trajectories are self-describing.
 // The topology and the memory system are self-describing `{name, params}`
 // specs resolved against their registries on read. The engine is not
-// recorded: plan_engine picks it from the cluster and every engine gives
-// the same bits. Readers ignore the "engine"/"sim_threads" members that
-// older writers added.
+// recorded: plan_engine picks it from the cluster and the host, and every
+// engine gives the same bits. Readers ignore the "engine"/"sim_threads"
+// members that older writers added.
 //
 //   {
 //     "schema": "mempool.sweep.v3",

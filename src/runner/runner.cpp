@@ -18,12 +18,9 @@ SweepResult run_points(const std::vector<TrafficExperimentConfig>& configs,
   ThreadPool pool(opts.threads);
   result.threads = pool.num_threads();
 
-  // The host's threads are shared among the points that run at once: a
-  // lone point gets all of them, a sweep steps each point on one.
-  const auto concurrent = static_cast<unsigned>(std::max<std::size_t>(
-      1, std::min<std::size_t>(pool.num_threads(), configs.size())));
-  const unsigned spare_threads =
-      std::max(1u, ThreadPool::default_threads() / concurrent);
+  // The points that run at once share the host's threads (plan_engine).
+  const auto concurrent = static_cast<unsigned>(
+      std::min<std::size_t>(pool.num_threads(), configs.size()));
 
   const auto t0 = std::chrono::steady_clock::now();
   // Batch execution goes through the same serve::run_point entry the
@@ -34,7 +31,7 @@ SweepResult run_points(const std::vector<TrafficExperimentConfig>& configs,
       [&](std::size_t i) {
         return serve::run_point(
                    serve::SimRequest::from_config(result.configs[i]), {},
-                   spare_threads)
+                   concurrent)
             .point;
       },
       opts.progress ? std::function<void(std::size_t)>([](std::size_t) {

@@ -234,13 +234,12 @@ SimResult SimResult::from_json(const Json& j) {
 }
 
 SimResult run_point(const SimRequest& req, CheckpointOptions ckpt,
-                    unsigned spare_threads) {
+                    unsigned concurrent) {
   req.validate();
   SimResult r;
   r.request_key = req.key();
   ckpt.key = r.request_key;
-  r.point = run_traffic_point(
-      req.config, plan_engine(req.config.cluster, spare_threads), ckpt);
+  r.point = run_traffic_point(req.config, ckpt, nullptr, concurrent);
   return r;
 }
 

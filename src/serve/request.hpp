@@ -15,7 +15,8 @@
 //               whitespace, or which fields the sender spelled out — and the
 //               content hash over those bytes is a stable cache key. The
 //               engine is not part of it: plan_engine picks it from the
-//               cluster, and every engine gives the same bits.
+//               cluster and the host, and every engine gives the same
+//               bits.
 //
 //   SimResult   mirrors the measured half of a mempool.sweep.v3 point
 //               (offered/generated/accepted, latency stats, completed) plus
@@ -34,7 +35,6 @@
 #include <string>
 
 #include "common/json.hpp"
-#include "runner/thread_pool.hpp"
 #include "traffic/experiment.hpp"
 
 namespace mempool::serve {
@@ -113,11 +113,9 @@ struct SimResult {
 /// thread-safe like run_traffic_point; throws CheckError on invalid requests.
 /// @p ckpt makes the run snapshottable, resumable and abortable between
 /// chunks (same result bit for bit); its key is overridden with req.key() so
-/// images are always stamped with the content hash. @p spare_threads is the
-/// share of the host this point may use (plan_engine); the default takes
-/// the caller to run this point alone.
-SimResult run_point(
-    const SimRequest& req, CheckpointOptions ckpt = {},
-    unsigned spare_threads = runner::ThreadPool::default_threads());
+/// images are always stamped with the content hash. @p concurrent counts
+/// the points running at once, which share the host's threads (plan_engine).
+SimResult run_point(const SimRequest& req, CheckpointOptions ckpt = {},
+                    unsigned concurrent = 1);
 
 }  // namespace mempool::serve

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -223,11 +222,8 @@ void SimService::compute(const std::shared_ptr<Inflight>& entry,
         }
       };
     }
-    // The host's threads are shared among the sim workers, so each point
-    // plans its engine for its share.
-    const unsigned spare_threads = std::max(
-        1u, runner::ThreadPool::default_threads() / pool_->num_threads());
-    base.result = run_point(entry->request, ckpt, spare_threads);
+    // The sim workers share the host's threads.
+    base.result = run_point(entry->request, ckpt, pool_->num_threads());
     base.ok = true;
   } catch (const PointAborted& e) {
     base.ok = false;

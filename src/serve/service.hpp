@@ -45,6 +45,10 @@
 #include "serve/cache.hpp"
 #include "serve/request.hpp"
 
+namespace mempool::runner {
+class ThreadPool;
+}  // namespace mempool::runner
+
 namespace mempool::serve {
 
 struct ServiceConfig {

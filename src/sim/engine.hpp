@@ -41,9 +41,11 @@
 //     are bit-identical to the active engine for any shard count and any
 //     thread schedule.
 //
-// No user option picks the mode: plan_engine (sim/shard.hpp) shards
-// clusters of kShardedMinCores cores and more and runs the rest on the
-// active engine; run_traffic_point and System apply that plan.
+// No user option picks the mode. run_traffic_point applies plan_engine
+// (sim/shard.hpp): sharded for clusters of kShardedMinCores cores and more
+// when the point has at least two host threads, active otherwise. Program
+// runs (System) step on the active engine unless configure_engine forces
+// another mode.
 
 #include <algorithm>
 #include <array>

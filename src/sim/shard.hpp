@@ -137,19 +137,20 @@ struct EnginePlan {
 /// sharded on 4 threads 1.48-1.84 s (2.3x at the medians); at TopH
 /// (256 cores) λ=0.33 sharded gains nothing (0.38-0.45 s against
 /// 0.33-0.47 s), and at λ=0.05 it loses at every thread count (ROADMAP
-/// item 3). Sharded on one thread runs as fast as active (3.83-4.72 s at
-/// TopH2 λ=0.33; a 4-worker TopH2 sweep 8.36-9.89 s against 8.14-9.92 s),
-/// so a point without spare threads loses nothing.
+/// item 3). On one thread sharding has nothing to win and measures level
+/// with active (10 alternating pairs each: a TopH2 λ=0.05 point 0.73-1.04 s
+/// active against 0.67-1.20 s sharded, a 4-worker TopH2 sweep 13.0-15.3 s
+/// against 12.1-15.5 s, sharded slower in 5 of 10 pairs both times), so a
+/// point without a second thread runs active.
 inline constexpr uint32_t kShardedMinCores = 1024;
 
-/// The engine for one point of @p cfg when @p spare_threads host threads may
-/// step it. The mode depends on the config alone (kSharded from
-/// kShardedMinCores cores up, else kActive), never on the host, so a
-/// checkpoint image (one monitor section per shard) restores on any host.
-/// threads = min(spare_threads, the fabric's shard count), at least 1;
-/// always 1 for kActive. Defined in core/cluster_config.cpp, which knows the
-/// fabric's partition.
-EnginePlan plan_engine(const ClusterConfig& cfg, unsigned spare_threads);
+/// The engine for one traffic point of @p cfg while @p concurrent points
+/// share the host: the point's budget is ThreadPool::default_threads() /
+/// concurrent. kSharded on min(budget, the fabric's shard count) threads
+/// when the cluster has kShardedMinCores cores or more and the budget is at
+/// least 2; kActive (one thread) otherwise. Defined in
+/// core/cluster_config.cpp, which knows the fabric's partition.
+EnginePlan plan_engine(const ClusterConfig& cfg, unsigned concurrent = 1);
 
 /// Per-shard working set of the sharded engine. Everything a shard's thread
 /// touches while evaluating lives here (or in the components themselves), so

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 
 #include "common/check.hpp"
 
@@ -10,30 +11,36 @@
 #include "mem/imem.hpp"
 #include "noc/monitor.hpp"
 #include "runner/shard_gang.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
 #include "traffic/generator.hpp"
 
 namespace mempool {
 
-TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
-                               TrafficCounters* counters_out) {
-  return run_traffic_point(ecfg, CheckpointOptions{}, counters_out);
-}
+namespace {
 
-TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
-                               const CheckpointOptions& ckpt,
-                               TrafficCounters* counters_out) {
-  return run_traffic_point(
-      ecfg, plan_engine(ecfg.cluster, runner::ThreadPool::default_threads()),
-      ckpt, counters_out);
-}
+// Steps one point on @p plan. With @p follow_image, a resumed point keeps the
+// mode its image was saved under (per-shard monitor sections mean sharded,
+// one section means active) in place of @p plan's, so an image restores
+// whatever the host's thread budget plans today; without it, an image of the
+// other monitor layout is refused.
+TrafficPoint simulate(const TrafficExperimentConfig& ecfg, EnginePlan plan,
+                      bool follow_image, const CheckpointOptions& ckpt,
+                      TrafficCounters* counters_out) {
+  std::optional<Snapshot> resume;
+  if (ckpt.restore_from != nullptr) {
+    resume = Snapshot::deserialize(*ckpt.restore_from);
+    MEMPOOL_CHECK_MSG(ckpt.key.empty() || resume->key == ckpt.key,
+                      "checkpoint key mismatch: image is for '"
+                          << resume->key << "', this point is '" << ckpt.key
+                          << "'");
+    const bool saved_sharded = resume->find("monitor1") != nullptr;
+    if (follow_image &&
+        saved_sharded != (plan.mode == EngineMode::kSharded)) {
+      plan = {saved_sharded ? EngineMode::kSharded : EngineMode::kActive, 1};
+    }
+  }
 
-TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
-                               const EnginePlan& plan,
-                               const CheckpointOptions& ckpt,
-                               TrafficCounters* counters_out) {
   const ClusterConfig& ccfg = ecfg.cluster;
   ccfg.validate();
 
@@ -90,20 +97,15 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
   // count, monitor count, and the point key are all validated, so an image
   // from a different config (or a different engine mode's monitor layout)
   // is rejected instead of silently producing a diverged result.
-  if (ckpt.restore_from != nullptr) {
-    const Snapshot snap = Snapshot::deserialize(*ckpt.restore_from);
-    MEMPOOL_CHECK_MSG(ckpt.key.empty() || snap.key == ckpt.key,
-                      "checkpoint key mismatch: image is for '"
-                          << snap.key << "', this point is '" << ckpt.key
-                          << "'");
-    engine.load_state(snap);
+  if (resume) {
+    engine.load_state(*resume);
     for (uint32_t s = 0; s < num_monitors; ++s) {
-      StateSource src(snap.payload("monitor" + std::to_string(s)));
+      StateSource src(resume->payload("monitor" + std::to_string(s)));
       monitors[s].load_state(src);
       src.finish();
     }
     MEMPOOL_CHECK_MSG(
-        snap.find("monitor" + std::to_string(num_monitors)) == nullptr,
+        resume->find("monitor" + std::to_string(num_monitors)) == nullptr,
         "checkpoint monitor count mismatch (saved under a different engine "
         "mode?)");
   }
@@ -176,6 +178,28 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
   p.max_latency = monitor.max_latency();
   p.completed = monitor.completed();
   return p;
+}
+
+}  // namespace
+
+TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
+                               TrafficCounters* counters_out) {
+  return run_traffic_point(ecfg, CheckpointOptions{}, counters_out);
+}
+
+TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
+                               const CheckpointOptions& ckpt,
+                               TrafficCounters* counters_out,
+                               unsigned concurrent) {
+  return simulate(ecfg, plan_engine(ecfg.cluster, concurrent),
+                  /*follow_image=*/true, ckpt, counters_out);
+}
+
+TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
+                               const EnginePlan& plan,
+                               const CheckpointOptions& ckpt,
+                               TrafficCounters* counters_out) {
+  return simulate(ecfg, plan, /*follow_image=*/false, ckpt, counters_out);
 }
 
 std::vector<TrafficPoint> sweep_load(const TrafficExperimentConfig& base,

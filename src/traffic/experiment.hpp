@@ -115,10 +115,8 @@ struct CheckpointOptions {
 /// runner (src/runner/) relies on this to shard points across threads with
 /// bit-identical results for any thread count.
 ///
-/// The engine is plan_engine(cfg.cluster, ThreadPool::default_threads()):
-/// the caller is taken to run this point alone. Callers that run points
-/// concurrently pass their share of the host through the explicit-plan
-/// overload instead.
+/// The engine is plan_engine(cfg.cluster): the caller is taken to run this
+/// point alone.
 ///
 /// @p counters_out, when non-null, receives the full monitor + fabric
 /// counter set (the cycle-equivalence tests assert these match between
@@ -129,14 +127,20 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
 /// Checkpoint-aware variant: identical result to the plain overload (bit
 /// for bit, including under restore — the monitors' double-accumulation
 /// order is preserved by snapshotting them alongside the engine), but the
-/// run can be snapshotted, resumed, and aborted via @p ckpt.
+/// run can be snapshotted, resumed, and aborted via @p ckpt. The engine is
+/// plan_engine(cfg.cluster, @p concurrent), where @p concurrent counts the
+/// points running at once; a resumed point keeps the mode its image was
+/// saved under, so an image restores on any host and thread budget.
 TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
                                const CheckpointOptions& ckpt,
-                               TrafficCounters* counters_out = nullptr);
+                               TrafficCounters* counters_out = nullptr,
+                               unsigned concurrent = 1);
 
-/// Explicit-plan variant: steps the point with @p plan. The result is the
-/// same for every plan; a checkpoint image restores under any plan of the
-/// same mode (the monitor layout follows the mode, not the thread count).
+/// Explicit-plan variant: steps the point with @p plan (tests force each
+/// mode through it). The result is the same for every plan; a checkpoint
+/// image restores under any plan of the mode it was saved under (the
+/// monitor layout follows the mode, not the thread count) and is refused
+/// under the others.
 TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
                                const EnginePlan& plan,
                                const CheckpointOptions& ckpt = {},

@@ -101,7 +101,7 @@ TEST(SimRequest, UnknownMembersAreRejectedNamingTheSchema) {
 }
 
 TEST(SimRequest, EngineMembersAreUnknown) {
-  // The engine is planned from the cluster (plan_engine), so a request
+  // The engine is planned per point (plan_engine), so a request
   // cannot name one: "engine" and "sim_threads" fail like any typo.
   for (const char* text :
        {R"({"engine": "active"})", R"({"sim_threads": 4})"}) {

@@ -23,6 +23,7 @@
 #include "mem/memsys.hpp"
 #include "noc/fabric.hpp"
 #include "noc/monitor.hpp"
+#include "runner/thread_pool.hpp"
 #include "traffic/experiment.hpp"
 #include "traffic/generator.hpp"
 
@@ -429,39 +430,47 @@ TEST(CheckpointEquivalence2, ActiveImageResumesUnderDenseNotSharded) {
 }
 
 TEST(CheckpointEquivalence2, ShardedImageRestoresUnderAnyThreadBudget) {
-  // plan_engine fixes the mode from the config alone, so the monitor layout
-  // of a sharded image does not depend on the host: a TopH2 point
-  // checkpointed with four threads resumes bit-identically on one.
+  // The planned path resumes a point in the mode its image was saved under,
+  // whatever plan_engine gives on this host: a TopH2 image taken on four
+  // threads resumes bit-identically where the budget plans active, and an
+  // active TopH2 image resumes where the budget plans sharded.
   TrafficExperimentConfig cfg;
   cfg.cluster = ClusterConfig::paper("TopH2", false);
   cfg.lambda = 0.05;
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 200;
   cfg.drain_cycles = 100;
-  const EnginePlan wide = plan_engine(cfg.cluster, 4);
-  const EnginePlan narrow = plan_engine(cfg.cluster, 1);
-  ASSERT_EQ(wide.mode, EngineMode::kSharded);
-  ASSERT_EQ(narrow.mode, EngineMode::kSharded);
-  ASSERT_EQ(narrow.threads, 1u);
+  // More concurrent points than host threads leaves a budget of zero.
+  const unsigned crowded = runner::ThreadPool::default_threads() + 1;
+  ASSERT_EQ(plan_engine(cfg.cluster, crowded), EnginePlan{});
 
-  std::string image;
-  CheckpointOptions save;
-  save.checkpoint_every = 200;
-  save.key = "toph2";
-  save.on_checkpoint = [&](uint64_t cycle, const std::string& img) {
-    if (cycle == 200) image = img;
-  };
-  TrafficCounters c_wide;
-  const TrafficPoint p_wide = run_traffic_point(cfg, wide, save, &c_wide);
-  ASSERT_FALSE(image.empty());
+  for (const EnginePlan saved_under :
+       {EnginePlan{EngineMode::kSharded, 4}, EnginePlan{}}) {
+    SCOPED_TRACE(engine_mode_name(saved_under.mode));
+    std::string image;
+    CheckpointOptions save;
+    save.checkpoint_every = 200;
+    save.key = "toph2";
+    save.on_checkpoint = [&](uint64_t cycle, const std::string& img) {
+      if (cycle == 200) image = img;
+    };
+    TrafficCounters c_saved;
+    const TrafficPoint p_saved =
+        run_traffic_point(cfg, saved_under, save, &c_saved);
+    ASSERT_FALSE(image.empty());
 
-  CheckpointOptions resume;
-  resume.key = "toph2";
-  resume.restore_from = &image;
-  TrafficCounters c_res;
-  const TrafficPoint p_res = run_traffic_point(cfg, narrow, resume, &c_res);
-  EXPECT_EQ(p_wide, p_res) << "one-thread resume of a four-thread image";
-  EXPECT_EQ(c_wide, c_res);
+    CheckpointOptions resume;
+    resume.key = "toph2";
+    resume.restore_from = &image;
+    for (const unsigned concurrent : {1u, crowded}) {
+      SCOPED_TRACE(concurrent);
+      TrafficCounters c_res;
+      const TrafficPoint p_res =
+          run_traffic_point(cfg, resume, &c_res, concurrent);
+      EXPECT_EQ(p_saved, p_res);
+      EXPECT_EQ(c_saved, c_res);
+    }
+  }
 }
 
 TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
@@ -580,22 +589,35 @@ TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
       << "active set should do <1/3 of the dense evaluations at λ=0.02";
 }
 
-// The engine picks itself: the mode follows the cluster size alone, the
-// thread count follows the host budget and the fabric's shard count.
-TEST(EnginePlan, ShardsFromTheThresholdUpWithTheBudgetCappedByShards) {
+// The engine picks itself: sharded only for clusters of kShardedMinCores
+// cores and more, and only when the point's share of the host threads
+// (default_threads() / concurrent points) is at least two.
+TEST(EnginePlan, ShardsLargeClustersThatHaveSpareThreads) {
   const ClusterConfig toph2 = ClusterConfig::paper("TopH2", false);
   const uint32_t shards = FabricRegistry::get("TopH2").num_shards(toph2);
   ASSERT_GE(toph2.num_cores(), kShardedMinCores);
   ASSERT_GT(shards, 1u);
-  for (unsigned budget : {0u, 1u, 2u, 4u, 64u}) {
-    SCOPED_TRACE(budget);
-    EXPECT_EQ(plan_engine(ClusterConfig::paper("TopH", false), budget),
+  const unsigned host = runner::ThreadPool::default_threads();
+  for (unsigned concurrent : {0u, 1u, 2u, 4u, host, host + 1, 64u}) {
+    SCOPED_TRACE(concurrent);
+    EXPECT_EQ(plan_engine(ClusterConfig::paper("TopH", false), concurrent),
               EnginePlan{});
-    EXPECT_EQ(plan_engine(ClusterConfig::mini("TopH", true), budget),
+    EXPECT_EQ(plan_engine(ClusterConfig::mini("TopH", true), concurrent),
               EnginePlan{});
-    const EnginePlan p = plan_engine(toph2, budget);
-    EXPECT_EQ(p.mode, EngineMode::kSharded);
-    EXPECT_EQ(p.threads, std::max(1u, std::min<unsigned>(budget, shards)));
+    const unsigned budget = host / std::max(1u, concurrent);
+    const EnginePlan p = plan_engine(toph2, concurrent);
+    if (budget < 2) {
+      EXPECT_EQ(p, EnginePlan{});
+    } else {
+      EXPECT_EQ(p.mode, EngineMode::kSharded);
+      EXPECT_EQ(p.threads, std::min<unsigned>(budget, shards));
+    }
+  }
+  // A point sharing the host with one per thread runs active; a lone point
+  // on a multi-threaded host shards.
+  EXPECT_EQ(plan_engine(toph2, host), EnginePlan{});
+  if (host >= 2) {
+    EXPECT_EQ(plan_engine(toph2).mode, EngineMode::kSharded);
   }
 }
 
