@@ -45,6 +45,15 @@ static int bench_main(int argc, char** argv) {
                                           /*accepts_memory=*/true,
                                           /*accepts_checkpoint=*/true);
 
+  // parse_bench_options leaves unrecognized flags in argv. No positional
+  // starts with "--", so such a leftover is named as the stray argument it
+  // is instead of being read as a topology or a number.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      reject_leftover_args(argc, argv, opts.bench_name, i);
+    }
+  }
+
   TopologySpec topo = "TopH";
   int pos = 1;  // next positional argument
   if (!opts.topology.empty()) {

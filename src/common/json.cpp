@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -143,26 +144,36 @@ void escape_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-/// Shortest representation that round-trips a double exactly.
+/// The shortest "%.Pg" (P in 1..17) that parses back to @p v. Cache keys
+/// hash these bytes, so the rule is fixed: no P below the shortest
+/// round-trip digit count (to_chars scientific) can parse back, and
+/// to_chars general with precision P is defined as printf("%.Pg"), so
+/// starting the search there yields the bytes a search from P = 1 would.
 void format_double(std::string& out, double v) {
   if (!std::isfinite(v)) {  // JSON has no Inf/NaN; emit null.
     out += "null";
     return;
   }
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  double back = std::strtod(buf, nullptr);
-  if (back == v) {
-    char shorter[40];
-    for (int prec = 1; prec < 17; ++prec) {
-      std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-      if (std::strtod(shorter, nullptr) == v) {
-        out += shorter;
-        return;
-      }
+  char* const end = buf + sizeof buf;
+  // The shortest round trip in scientific form; its mantissa digits are
+  // where the search starts.
+  const char* const sci_end =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = buf; p != sci_end && *p != 'e'; ++p) {
+    digits += *p >= '0' && *p <= '9';
+  }
+  for (int prec = digits; prec <= 17; ++prec) {
+    const char* const last =
+        std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, last, back);
+    if (back == v || prec == 17) {
+      out.append(buf, static_cast<std::size_t>(last - buf));
+      return;
     }
   }
-  out += buf;
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ double RunningStat::variance() const {
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width_(bucket_width), buckets_(num_buckets, 0) {
+    : width_(bucket_width), num_buckets_(num_buckets) {
   MEMPOOL_CHECK(bucket_width > 0.0);
   MEMPOOL_CHECK(num_buckets > 0);
 }
@@ -36,23 +36,29 @@ void Histogram::add(double x) {
   if (x < 0) x = 0;
   const auto idx = static_cast<std::size_t>(x / width_);
   if (idx >= buckets_.size()) {
-    ++overflow_;
-  } else {
-    ++buckets_[idx];
+    if (idx >= num_buckets_) {
+      ++overflow_;
+      return;
+    }
+    buckets_.resize(idx + 1);
   }
+  ++buckets_[idx];
 }
 
 void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   overflow_ = 0;
 }
 
 void Histogram::absorb(const Histogram& other) {
   MEMPOOL_CHECK_MSG(width_ == other.width_ &&
-                        buckets_.size() == other.buckets_.size(),
+                        num_buckets_ == other.num_buckets_,
                     "absorbing a histogram with a different shape");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  if (buckets_.size() < other.buckets_.size()) {
+    buckets_.resize(other.buckets_.size());
+  }
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
@@ -61,10 +67,10 @@ void Histogram::absorb(const Histogram& other) {
 
 void Histogram::restore(const std::vector<uint64_t>& buckets, uint64_t count,
                         uint64_t overflow) {
-  MEMPOOL_CHECK_MSG(buckets.size() == buckets_.size(),
+  MEMPOOL_CHECK_MSG(buckets.size() == num_buckets_,
                     "restoring a histogram with a different shape ("
-                        << buckets.size() << " buckets into "
-                        << buckets_.size() << ")");
+                        << buckets.size() << " buckets into " << num_buckets_
+                        << ")");
   buckets_ = buckets;
   count_ = count;
   overflow_ = overflow;
@@ -94,7 +100,8 @@ Json Histogram::to_json() const {
 
 double Histogram::quantile(double q) const {
   MEMPOOL_CHECK(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) return 0.0;
+  // q = 0 answers bucket 0's lower edge, stored or not.
+  if (count_ == 0 || q == 0.0) return 0.0;
   const double target = q * static_cast<double>(count_);
   double cum = 0.0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
@@ -106,7 +113,7 @@ double Histogram::quantile(double q) const {
     }
     cum = next;
   }
-  return width_ * static_cast<double>(buckets_.size());
+  return width_ * static_cast<double>(num_buckets_);
 }
 
 }  // namespace mempool

@@ -39,6 +39,12 @@ class RunningStat {
 
 /// Fixed-width bucket histogram over [0, bucket_width * num_buckets), with an
 /// overflow bucket. Used for request-latency distributions.
+///
+/// Storage grows to the highest bucket a sample has touched, so a histogram
+/// with a fine, wide range (the service's 1,000,000 10 µs buckets) costs
+/// memory only for the range its samples use. Every observable result —
+/// counts, quantiles, to_json, checkpoint bytes — is that of the full-size
+/// histogram: the buckets past the stored ones are zero.
 class Histogram {
  public:
   Histogram(double bucket_width, std::size_t num_buckets);
@@ -52,6 +58,9 @@ class Histogram {
 
   uint64_t count() const { return count_; }
   uint64_t overflow() const { return overflow_; }
+  std::size_t num_buckets() const { return num_buckets_; }
+  /// The stored buckets: a prefix of the num_buckets() logical ones that
+  /// holds every non-zero count (the rest are zero).
   const std::vector<uint64_t>& buckets() const { return buckets_; }
   double bucket_width() const { return width_; }
 
@@ -59,9 +68,9 @@ class Histogram {
   /// bucket; overflow samples count at the top edge.
   double quantile(double q) const;
 
-  /// Checkpoint restore: overwrite the counts wholesale (geometry must
-  /// match). Counts are integers, so a restored histogram is exactly the
-  /// saved one.
+  /// Checkpoint restore: overwrite the counts wholesale (all num_buckets()
+  /// of them; geometry must match). Counts are integers, so a restored
+  /// histogram is exactly the saved one.
   void restore(const std::vector<uint64_t>& buckets, uint64_t count,
                uint64_t overflow);
 
@@ -71,7 +80,8 @@ class Histogram {
 
  private:
   double width_;
-  std::vector<uint64_t> buckets_;
+  std::size_t num_buckets_;
+  std::vector<uint64_t> buckets_;  ///< Stored prefix, size <= num_buckets_.
   uint64_t count_ = 0;
   uint64_t overflow_ = 0;
 };

@@ -67,9 +67,7 @@ void IdealRespBridge::evaluate(uint64_t /*cycle*/) {
   for (auto& b : bufs_) {
     while (!b.empty()) {
       const Packet p = b.pop();
-      Client* c = (*clients_)[p.src];
-      c->deliver(p);
-      c->wake();
+      (*clients_)[p.src]->deliver(p);  // no wake: see ClientSink
     }
   }
 }

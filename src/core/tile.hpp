@@ -23,18 +23,15 @@
 namespace mempool {
 
 /// Always-ready terminal sink delivering responses into a client. Delivery
-/// also wakes the client so a sleeping component that acts on responses in
-/// its evaluate() (wake-on-response) is re-evaluated next cycle; for the
-/// built-in clients this is a harmless no-op wake (cores only sleep once
-/// halted, generators only once drained).
+/// does not wake the client: a client that has response-driven work must not
+/// report idle() while it waits (cores sleep only once halted), and one that
+/// does sleep acts on a response inside deliver() alone (a generator only
+/// counts it).
 class ClientSink final : public PacketSink {
  public:
   explicit ClientSink(Client* c) : c_(c) {}
   bool can_accept() const override { return true; }
-  void push(const Packet& p) override {
-    c_->deliver(p);
-    c_->wake();
-  }
+  void push(const Packet& p) override { c_->deliver(p); }
   /// DRC: terminal delivery into the client (same-cycle direct call).
   const Wakeable* drc_terminal() const override { return c_; }
 

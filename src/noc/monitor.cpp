@@ -37,8 +37,12 @@ void LatencyMonitor::save_state(StateSink& s) const {
   s.f64(lat_max_);
   s.u64(hist_.count());
   s.u64(hist_.overflow());
-  s.u32(static_cast<uint32_t>(hist_.buckets().size()));
+  // Every logical bucket goes into the image; the unstored ones are zero.
+  s.u32(static_cast<uint32_t>(hist_.num_buckets()));
   for (const uint64_t b : hist_.buckets()) s.u64(b);
+  for (std::size_t i = hist_.buckets().size(); i < hist_.num_buckets(); ++i) {
+    s.u64(0);
+  }
 }
 
 void LatencyMonitor::load_state(StateSource& s) {

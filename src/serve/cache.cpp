@@ -37,17 +37,15 @@ ResultCache::ResultCache(std::size_t capacity, std::string disk_dir)
   }
 }
 
-std::string ResultCache::disk_path(const SimRequest& req) const {
-  return disk_dir_ + "/" + req.key() + ".json";
+std::string ResultCache::disk_path(const std::string& key) const {
+  return disk_dir_ + "/" + key + ".json";
 }
 
-std::optional<SimResult> ResultCache::lookup(const SimRequest& req) {
-  const uint64_t hash = req.content_hash();
-  const std::string canonical = req.canonical();
+std::optional<SimResult> ResultCache::lookup(const CanonicalForm& form) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(hash);
-    if (it != index_.end() && it->second->canonical == canonical) {
+    const auto it = index_.find(form.hash);
+    if (it != index_.end() && it->second->canonical == form.text) {
       lru_.splice(lru_.begin(), lru_, it->second);  // touch
       ++stats_.hits;
       return it->second->result;
@@ -57,15 +55,14 @@ std::optional<SimResult> ResultCache::lookup(const SimRequest& req) {
       return std::nullopt;
     }
   }
-  return disk_lookup(req, hash, canonical);
+  return disk_lookup(form);
 }
 
-std::optional<SimResult> ResultCache::disk_lookup(
-    const SimRequest& req, uint64_t hash, const std::string& canonical) {
+std::optional<SimResult> ResultCache::disk_lookup(const CanonicalForm& form) {
   // mu_ is NOT held here: reading and parsing the file can take milliseconds
   // and must not stall the memory tier. Two threads racing the same file
   // both revive it; insert_locked refreshes in place, so that is benign.
-  const std::string path = disk_path(req);
+  const std::string path = disk_path(form.key);
   std::optional<SimResult> result;
   bool io_error = false;
   std::error_code ec;
@@ -74,12 +71,12 @@ std::optional<SimResult> ResultCache::disk_lookup(
       const Json doc = runner::read_json_file(path);
       if (doc.get("schema", Json("")).as_string() == "mempool.simcache.v1" &&
           doc.get("version", Json("")).as_string() == kResultVersion &&
-          doc.at("request").dump(0) == canonical) {
+          doc.at("request").dump(0) == form.text) {
         result = SimResult::from_json(doc.at("result"));
         // The stored result must answer *this* request: a corrupted (or
         // hand-edited) request_key inside the result payload is treated as
         // the file-level corruption it is, not served.
-        if (result->request_key != req.key()) {
+        if (result->request_key != form.key) {
           result.reset();
           io_error = true;
         }
@@ -96,17 +93,15 @@ std::optional<SimResult> ResultCache::disk_lookup(
     ++stats_.misses;
     return std::nullopt;
   }
-  insert_locked(hash, canonical, *result);
+  insert_locked(form.hash, form.text, *result);
   ++stats_.disk_hits;
   return result;
 }
 
-void ResultCache::insert(const SimRequest& req, const SimResult& result) {
-  const uint64_t hash = req.content_hash();
-  const std::string canonical = req.canonical();
+void ResultCache::insert(const CanonicalForm& form, const SimResult& result) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    insert_locked(hash, canonical, result);
+    insert_locked(form.hash, form.text, result);
     ++stats_.insertions;
   }
   if (disk_dir_.empty()) return;
@@ -115,12 +110,14 @@ void ResultCache::insert(const SimRequest& req, const SimResult& result) {
   Json doc = Json::object();
   doc.set("schema", "mempool.simcache.v1");
   doc.set("version", kResultVersion);
-  doc.set("request", req.to_json());
+  // The canonical text parses back to the request object it was dumped
+  // from; disk_lookup compares that object's re-dump with the canonical.
+  doc.set("request", Json::parse(form.text));
   doc.set("result", result.to_json());
   // Write-temp-then-rename: with the write un-serialized, a concurrent
   // lookup (or a same-key writer — identical bytes, results being
   // deterministic) must only ever observe complete files.
-  const std::string path = disk_path(req);
+  const std::string path = disk_path(form.key);
   std::ostringstream tmp_name;
   tmp_name << path << ".tmp." << ::getpid() << "."
            << std::this_thread::get_id();

@@ -3,7 +3,8 @@
 //
 // Keys are SimRequest content hashes; a hit additionally compares the stored
 // canonical request string, so an FNV collision degrades to a miss instead
-// of a wrong answer. Two tiers:
+// of a wrong answer. Callers pass the request's CanonicalForm, derived once
+// per request, so a lookup does no canonicalization of its own. Two tiers:
 //
 //   memory  a bounded LRU (insert/lookup touch recency; the least recently
 //           used entry is evicted at capacity). Thread-safe behind one
@@ -52,13 +53,14 @@ class ResultCache {
   ///                   disk tier. Created (one level) on first use.
   explicit ResultCache(std::size_t capacity, std::string disk_dir = "");
 
-  /// Look up @p req; a hit refreshes its recency. Memory misses consult the
-  /// disk tier (a disk hit is inserted back into memory).
-  std::optional<SimResult> lookup(const SimRequest& req);
+  /// Look up the request of canonical form @p form; a hit refreshes its
+  /// recency. Memory misses consult the disk tier (a disk hit is inserted
+  /// back into memory).
+  std::optional<SimResult> lookup(const CanonicalForm& form);
 
-  /// Insert (or refresh) the result for @p req; persists to the disk tier
-  /// when one is configured.
-  void insert(const SimRequest& req, const SimResult& result);
+  /// Insert (or refresh) the result for the request of canonical form
+  /// @p form; persists to the disk tier when one is configured.
+  void insert(const CanonicalForm& form, const SimResult& result);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -75,11 +77,10 @@ class ResultCache {
   /// Disk tier for a memory miss. Reads and parses the file WITHOUT holding
   /// mu_ (file I/O must not block concurrent memory-tier lookups), then
   /// reacquires it to revive the entry and count the outcome.
-  std::optional<SimResult> disk_lookup(const SimRequest& req, uint64_t hash,
-                                       const std::string& canonical);
+  std::optional<SimResult> disk_lookup(const CanonicalForm& form);
   void insert_locked(uint64_t hash, const std::string& canonical,
                      const SimResult& result);
-  std::string disk_path(const SimRequest& req) const;
+  std::string disk_path(const std::string& key) const;
 
   const std::size_t capacity_;
   const std::string disk_dir_;

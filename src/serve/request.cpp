@@ -175,14 +175,16 @@ Json SimRequest::to_json() const {
 
 std::string SimRequest::canonical() const { return to_json().dump(0); }
 
-uint64_t SimRequest::content_hash() const {
-  return fnv1a64(std::string(kResultVersion) + '\n' + canonical());
-}
+std::string SimRequest::key() const { return canonical_form().key; }
 
-std::string SimRequest::key() const {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, content_hash());
-  return buf;
+CanonicalForm SimRequest::canonical_form() const {
+  CanonicalForm form;
+  form.text = canonical();
+  form.hash = fnv1a64(std::string(kResultVersion) + '\n' + form.text);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, form.hash);
+  form.key = hex;
+  return form;
 }
 
 std::string SimRequest::label() const {

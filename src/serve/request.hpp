@@ -44,6 +44,16 @@ namespace mempool::serve {
 /// engines are bit-identical by contract).
 inline constexpr const char* kResultVersion = "mempool-sim-v1";
 
+/// A request's identity, derived once per request: canonicalizing formats
+/// every double, so the service computes this at arrival and hands it to the
+/// cache lookup, the in-flight table, the computation and the cache insert.
+struct CanonicalForm {
+  std::string text;   ///< SimRequest::canonical()
+  /// FNV-1a 64-bit over kResultVersion + '\n' + text; the cache index.
+  uint64_t hash = 0;
+  std::string key;    ///< hash as 16 lowercase hex digits: SimRequest::key()
+};
+
 struct SimRequest {
   /// Full-fidelity point configuration. The canonical serialization covers
   /// the same field set as a mempool.sweep.v3 point; CoreConfig / ICache
@@ -77,12 +87,12 @@ struct SimRequest {
   /// to_json() dumped without whitespace — the byte string that is hashed.
   std::string canonical() const;
 
-  /// FNV-1a 64-bit hash over kResultVersion + '\n' + canonical().
-  uint64_t content_hash() const;
-
-  /// content_hash() as 16 lowercase hex digits — the cache key and on-disk
-  /// file stem.
+  /// The content hash as 16 lowercase hex digits — the cache key and
+  /// on-disk file stem (CanonicalForm::key).
   std::string key() const;
+
+  /// canonical(), its content hash and key() from one canonicalization.
+  CanonicalForm canonical_form() const;
 
   /// Human-readable one-liner ("TopH mem=tcdm λ=0.2 p=0 seed=1") for logs.
   std::string label() const;

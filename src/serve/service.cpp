@@ -113,9 +113,11 @@ void SimService::submit(const SimRequest& req, Callback done) {
                        req.deadline_ms == 0
                            ? std::chrono::steady_clock::time_point::max()
                            : now + std::chrono::milliseconds(req.deadline_ms)};
-  const std::string canonical = req.canonical();
+  // The one canonicalization of this request: the cache lookup, the
+  // in-flight table, the computation and the cache insert all share it.
+  CanonicalForm form = req.canonical_form();
 
-  if (auto cached = cache_.lookup(req)) {
+  if (auto cached = cache_.lookup(form)) {
     ServiceResponse resp;
     resp.ok = true;
     resp.result = *std::move(cached);
@@ -129,7 +131,7 @@ void SimService::submit(const SimRequest& req, Callback done) {
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    const auto it = inflight_.find(canonical);
+    const auto it = inflight_.find(form.text);
     if (it != inflight_.end()) {
       // Coalescing is exempt from admission control: a piggybacked waiter
       // consumes no worker and no queue slot.
@@ -143,8 +145,9 @@ void SimService::submit(const SimRequest& req, Callback done) {
     } else {
       entry = std::make_shared<Inflight>();
       entry->request = req;
+      entry->form = std::move(form);
       entry->waiters.push_back(arrival);
-      inflight_.emplace(canonical, entry);
+      inflight_.emplace(entry->form.text, entry);
     }
   }
   if (shed) {
@@ -156,7 +159,7 @@ void SimService::submit(const SimRequest& req, Callback done) {
     resp.ok = false;
     resp.kind = "overloaded";
     resp.retry_after_ms = cfg_.retry_after_ms;
-    resp.key = req.key();
+    resp.key = form.key;
     std::ostringstream os;
     os << "service overloaded: " << cfg_.max_queue
        << " points already in flight; retry after " << cfg_.retry_after_ms
@@ -165,7 +168,7 @@ void SimService::submit(const SimRequest& req, Callback done) {
     record_and_deliver(resp, req.config.cluster.topology.name, arrival);
     return;
   }
-  pool_->submit([this, entry, canonical] { compute(entry, canonical); });
+  pool_->submit([this, entry] { compute(entry); });
 }
 
 bool SimService::all_deadlines_expired(
@@ -178,10 +181,9 @@ bool SimService::all_deadlines_expired(
   return !entry->waiters.empty();
 }
 
-void SimService::compute(const std::shared_ptr<Inflight>& entry,
-                         const std::string& canonical) {
+void SimService::compute(const std::shared_ptr<Inflight>& entry) {
   ServiceResponse base;
-  base.key = entry->request.key();
+  base.key = entry->form.key;
   const std::string ckpt_file = checkpoint_path(base.key);
   bool resumed = false;
   try {
@@ -249,7 +251,7 @@ void SimService::compute(const std::shared_ptr<Inflight>& entry,
     base.error = e.what();
   }
   if (base.ok) {
-    cache_.insert(entry->request, base.result);
+    cache_.insert(entry->form, base.result);
     if (!ckpt_file.empty()) {
       // The result is durable in the cache; the in-flight image is obsolete.
       std::error_code ec;
@@ -270,7 +272,7 @@ void SimService::compute(const std::shared_ptr<Inflight>& entry,
     // costs a redundant recompute of an identical point.
     std::lock_guard<std::mutex> lock(inflight_mu_);
     waiters = std::move(entry->waiters);
-    inflight_.erase(canonical);
+    inflight_.erase(entry->form.text);
   }
   const std::string& topology =
       entry->request.config.cluster.topology.name;

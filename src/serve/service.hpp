@@ -136,11 +136,11 @@ class SimService {
   };
   struct Inflight {
     SimRequest request;
+    CanonicalForm form;  ///< Of request; its text keys inflight_.
     std::vector<Waiter> waiters;
   };
 
-  void compute(const std::shared_ptr<Inflight>& entry,
-               const std::string& canonical);
+  void compute(const std::shared_ptr<Inflight>& entry);
   void record_and_deliver(const ServiceResponse& base,
                           const std::string& topology, const Waiter& waiter);
   /// True when every waiter's deadline has expired — the abort predicate a

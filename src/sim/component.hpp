@@ -31,10 +31,12 @@ class Component : public Wakeable {
   virtual void evaluate(uint64_t cycle) = 0;
 
   /// Activity contract: true when evaluate() would be a no-op this cycle and
-  /// every future cycle unless a wake event (buffer push/commit, response
-  /// delivery, refill request) arrives. The engine puts an idle component to
+  /// every future cycle unless a wake event (buffer push/commit, refill
+  /// request, timed wake) arrives. The engine puts an idle component to
   /// sleep right after evaluating it; components whose work is self-generated
   /// (cores still running, generators still generating) return false.
+  /// Response delivery wakes nothing, so a client awaiting a response that
+  /// its evaluate() acts on must not report idle().
   /// The default is conservatively "never idle" so ad-hoc components (test
   /// probes) are always evaluated, exactly as under the dense engine.
   virtual bool idle() const { return false; }

@@ -14,14 +14,16 @@
 //   * activity-driven (default): only components whose wake flag is set are
 //     evaluated. Components register wake conditions instead of polling:
 //       - an elastic-buffer push/commit wakes the downstream component,
-//       - response delivery wakes the receiving client,
 //       - an I$ miss wakes the refill engine,
 //       - wake_at(cycle, w) arms a timed wake (traffic generators sleep
 //         between Poisson arrival events).
 //     A component that reports idle() after evaluating is put to sleep until
-//     one of those events re-arms it. The wake flags live in one contiguous
-//     engine-owned array, so the per-cycle scan is a word-wise sweep that
-//     skips 8 sleeping components per load. The commit phase walks only the
+//     one of those events re-arms it. Response delivery into a client is
+//     not one of them: a client waiting on a response must not report
+//     idle(), and a sleeping client handles a response in deliver() alone.
+//     The wake flags live in one contiguous engine-owned array, so the
+//     per-cycle scan is a word-wise sweep that skips 8 sleeping components
+//     per load. The commit phase walks only the
 //     buffers that staged something this cycle. When a step finds no awake
 //     component and nothing staged, the cluster cannot wake itself before
 //     the next timer (or ever, if none is armed), so run() fast-forwards the

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/cluster.hpp"
 #include "helpers.hpp"
 #include "kernels/runtime.hpp"
+#include "mem/imem.hpp"
 
 namespace mempool {
 namespace {
@@ -62,6 +68,67 @@ TEST_P(ClusterTopo, AllToAllStoresLand) {
   const uint64_t per_tile =
       static_cast<uint64_t>(cfg.num_cores()) * (cfg.num_cores() + 1) / 2;
   EXPECT_EQ(sum, per_tile * cfg.num_tiles);
+}
+
+// A client shaped like a drained traffic generator: it issues one load,
+// then reports idle() and only counts what deliver() brings.
+class OneLoadClient final : public Client {
+ public:
+  OneLoadClient(uint16_t id, uint16_t tile, const MemoryLayout* layout,
+                uint32_t addr)
+      : Client("one_load" + std::to_string(id), id, tile),
+        layout_(layout),
+        addr_(addr) {}
+
+  void evaluate(uint64_t cycle) override {
+    if (responses > 0) ++evaluations_after_response;
+    if (issued_) return;
+    Packet p;
+    p.op = MemOp::kLoad;
+    p.src = id_;
+    p.src_tile = tile_;
+    p.birth = cycle;
+    layout_->route(p, addr_);
+    issued_ = port_->try_issue(p);
+  }
+  bool idle() const override { return issued_; }
+  void deliver(const Packet& /*resp*/) override { ++responses; }
+
+  uint32_t evaluations_after_response = 0;
+  uint32_t responses = 0;
+
+ private:
+  const MemoryLayout* layout_;
+  uint32_t addr_;
+  bool issued_ = false;
+};
+
+TEST_P(ClusterTopo, ResponseDeliveryDoesNotWakeASleepingClient) {
+  // Every client loads from a remote tile and goes to sleep. Its response
+  // arrives through the fabric's ClientSink (or TopX's ideal bridge) while
+  // it sleeps, and no other event wakes it, so it is never evaluated again.
+  const ClusterConfig cfg =
+      ClusterConfig::mini(test::topo_name(GetParam()), true);
+  InstrMem imem(4096);
+  Engine engine;
+  Cluster cluster(cfg, &imem);
+  std::vector<std::unique_ptr<OneLoadClient>> owned;
+  std::vector<Client*> clients;
+  for (uint32_t c = 0; c < cfg.num_cores(); ++c) {
+    const uint32_t tile = c / cfg.cores_per_tile;
+    const uint32_t remote = (tile + cfg.num_tiles / 2) % cfg.num_tiles;
+    owned.push_back(std::make_unique<OneLoadClient>(
+        static_cast<uint16_t>(c), static_cast<uint16_t>(tile),
+        &cluster.layout(), remote * cfg.seq_region_bytes));
+    clients.push_back(owned.back().get());
+  }
+  cluster.attach_clients(clients);
+  cluster.build(engine);
+  engine.run(200);
+  for (const auto& client : owned) {
+    EXPECT_EQ(client->responses, 1u) << client->name();
+    EXPECT_EQ(client->evaluations_after_response, 0u) << client->name();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, ClusterTopo,

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/report.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "runner/results.hpp"
 #include "runner/runner.hpp"
@@ -73,6 +78,69 @@ TEST(Json, DoublesSurviveShortestRoundTrip) {
     const Json back = Json::parse(Json(v).dump());
     EXPECT_EQ(back.as_double(), v);
   }
+}
+
+namespace {
+
+// The reference the formatter must match byte for byte: the smallest
+// precision P in 1..16 whose "%.Pg" strtod()s back to the value, else
+// "%.17g". Cache keys and results files hash or diff these bytes.
+std::string reference_format_double(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  if (std::strtod(buf, nullptr) == v) {
+    char shorter[40];
+    for (int prec = 1; prec < 17; ++prec) {
+      std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
+      if (std::strtod(shorter, nullptr) == v) return shorter;
+    }
+  }
+  return buf;
+}
+
+}  // namespace
+
+TEST(Json, DoubleFormatMatchesThePrintfSearch) {
+  std::vector<double> values = {0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 1e300,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon()};
+  // Every power of two and its neighbours one ulp away: the binades'
+  // edges, where the round-trip interval is asymmetric.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    // Arbitrary bit patterns (every exponent, subnormals included)...
+    const double bits = std::bit_cast<double>(rng.next_u64());
+    if (std::isfinite(bits)) values.push_back(bits);
+    // ...short decimals like the λ and p_local that requests carry...
+    values.push_back(static_cast<double>(rng.next_below(100000)) /
+                     std::pow(10.0, static_cast<double>(rng.next_below(8))));
+    // ...and subnormals with few significant bits.
+    values.push_back(static_cast<double>(rng.next_below(1u << 20)) *
+                     std::numeric_limits<double>::denorm_min());
+  }
+  for (const double v : values) {
+    ASSERT_EQ(Json(v).dump(), reference_format_double(v))
+        << "bits " << std::bit_cast<uint64_t>(v);
+    ASSERT_EQ(Json(-v).dump(), reference_format_double(-v));
+  }
+}
+
+TEST(Json, DoubleFormatKeepsPrintfQuirks) {
+  EXPECT_EQ(Json(10.0).dump(), "1e+01");
+  EXPECT_EQ(Json(1e21).dump(), "1e+21");
+  EXPECT_EQ(Json(0.0001).dump(), "0.0001");
+  EXPECT_EQ(Json(1e-05).dump(), "1e-05");
+  EXPECT_EQ(Json(0.12000000000000001).dump(), "0.12000000000000001");
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(std::nan("")).dump(), "null");
 }
 
 TEST(Json, StringEscapes) {

@@ -47,9 +47,9 @@ std::string fresh_dir(const std::string& tag) {
 TEST(ResultCache, MissThenHit) {
   ResultCache cache(8);
   const SimRequest a = req(0.1, 1);
-  EXPECT_FALSE(cache.lookup(a).has_value());
-  cache.insert(a, fake_result(a, 0.5));
-  const auto hit = cache.lookup(a);
+  EXPECT_FALSE(cache.lookup(a.canonical_form()).has_value());
+  cache.insert(a.canonical_form(), fake_result(a, 0.5));
+  const auto hit = cache.lookup(a.canonical_form());
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->request_key, a.key());
   EXPECT_DOUBLE_EQ(hit->point.accepted, 0.5);
@@ -64,13 +64,14 @@ TEST(ResultCache, MissThenHit) {
 TEST(ResultCache, LruEvictsTheLeastRecentlyUsedEntry) {
   ResultCache cache(2);
   const SimRequest a = req(0.1, 1), b = req(0.2, 1), c = req(0.3, 1);
-  cache.insert(a, fake_result(a, 1));
-  cache.insert(b, fake_result(b, 2));
-  ASSERT_TRUE(cache.lookup(a).has_value());  // touch a → b is now LRU
-  cache.insert(c, fake_result(c, 3));        // evicts b
-  EXPECT_TRUE(cache.lookup(a).has_value());
-  EXPECT_FALSE(cache.lookup(b).has_value());
-  EXPECT_TRUE(cache.lookup(c).has_value());
+  cache.insert(a.canonical_form(), fake_result(a, 1));
+  cache.insert(b.canonical_form(), fake_result(b, 2));
+  // touch a → b is now LRU
+  ASSERT_TRUE(cache.lookup(a.canonical_form()).has_value());
+  cache.insert(c.canonical_form(), fake_result(c, 3));  // evicts b
+  EXPECT_TRUE(cache.lookup(a.canonical_form()).has_value());
+  EXPECT_FALSE(cache.lookup(b.canonical_form()).has_value());
+  EXPECT_TRUE(cache.lookup(c.canonical_form()).has_value());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
@@ -78,10 +79,11 @@ TEST(ResultCache, LruEvictsTheLeastRecentlyUsedEntry) {
 TEST(ResultCache, ReinsertRefreshesInsteadOfGrowing) {
   ResultCache cache(4);
   const SimRequest a = req(0.1, 1);
-  cache.insert(a, fake_result(a, 1));
-  cache.insert(a, fake_result(a, 2));  // refresh, not duplicate
+  cache.insert(a.canonical_form(), fake_result(a, 1));
+  // refresh, not duplicate
+  cache.insert(a.canonical_form(), fake_result(a, 2));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_DOUBLE_EQ(cache.lookup(a)->point.accepted, 2);
+  EXPECT_DOUBLE_EQ(cache.lookup(a.canonical_form())->point.accepted, 2);
 }
 
 TEST(ResultCache, DiskTierSurvivesARestart) {
@@ -89,17 +91,17 @@ TEST(ResultCache, DiskTierSurvivesARestart) {
   const SimRequest a = req(0.1, 1);
   {
     ResultCache cache(4, dir);
-    cache.insert(a, fake_result(a, 0.75));
+    cache.insert(a.canonical_form(), fake_result(a, 0.75));
   }
   // "Restart": a fresh cache over the same directory; memory is cold, the
   // disk tier revives the entry (and promotes it back into memory).
   ResultCache cache(4, dir);
-  const auto hit = cache.lookup(a);
+  const auto hit = cache.lookup(a.canonical_form());
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->point.accepted, 0.75);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
   // Second lookup is a pure memory hit.
-  ASSERT_TRUE(cache.lookup(a).has_value());
+  ASSERT_TRUE(cache.lookup(a.canonical_form()).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
   std::filesystem::remove_all(dir);
 }
@@ -109,7 +111,7 @@ TEST(ResultCache, StaleVersionOnDiskIsIgnored) {
   const SimRequest a = req(0.1, 1);
   {
     ResultCache cache(4, dir);
-    cache.insert(a, fake_result(a, 0.75));
+    cache.insert(a.canonical_form(), fake_result(a, 0.75));
   }
   // Rewrite the stored file as if an older engine version had produced it.
   const std::string path = dir + "/" + a.key() + ".json";
@@ -118,7 +120,7 @@ TEST(ResultCache, StaleVersionOnDiskIsIgnored) {
   runner::write_json_file(path, doc);
 
   ResultCache cache(4, dir);
-  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_FALSE(cache.lookup(a.canonical_form()).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().disk_hits, 0u);
   std::filesystem::remove_all(dir);
@@ -129,14 +131,14 @@ TEST(ResultCache, CorruptDiskFileDegradesToAMiss) {
   const SimRequest a = req(0.1, 1);
   {
     ResultCache cache(4, dir);
-    cache.insert(a, fake_result(a, 0.75));
+    cache.insert(a.canonical_form(), fake_result(a, 0.75));
   }
   {
     std::ofstream out(dir + "/" + a.key() + ".json", std::ios::trunc);
     out << "{ this is not json";
   }
   ResultCache cache(4, dir);
-  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_FALSE(cache.lookup(a.canonical_form()).has_value());
   EXPECT_GE(cache.stats().disk_errors, 1u);
   std::filesystem::remove_all(dir);
 }
@@ -146,14 +148,14 @@ TEST(ResultCache, ZeroByteFileDegradesToAMiss) {
   const SimRequest a = req(0.1, 1);
   {
     ResultCache cache(4, dir);
-    cache.insert(a, fake_result(a, 0.75));
+    cache.insert(a.canonical_form(), fake_result(a, 0.75));
   }
   {
     std::ofstream out(dir + "/" + a.key() + ".json",
                       std::ios::trunc | std::ios::binary);
   }  // 0 bytes: the classic artifact of a crash between create and write
   ResultCache cache(4, dir);
-  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_FALSE(cache.lookup(a.canonical_form()).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
   std::filesystem::remove_all(dir);
 }
@@ -163,7 +165,7 @@ TEST(ResultCache, TruncatedFilesAtEveryLengthDegradeToMisses) {
   const SimRequest a = req(0.1, 1);
   {
     ResultCache cache(4, dir);
-    cache.insert(a, fake_result(a, 0.75));
+    cache.insert(a.canonical_form(), fake_result(a, 0.75));
   }
   const std::string path = dir + "/" + a.key() + ".json";
   std::string intact;
@@ -183,7 +185,7 @@ TEST(ResultCache, TruncatedFilesAtEveryLengthDegradeToMisses) {
       out.write(intact.data(), static_cast<std::streamsize>(len));
     }
     ResultCache cache(4, dir);
-    EXPECT_FALSE(cache.lookup(a).has_value())
+    EXPECT_FALSE(cache.lookup(a.canonical_form()).has_value())
         << "truncation at byte " << len << " served a result";
   }
   std::filesystem::remove_all(dir);
@@ -195,7 +197,7 @@ TEST(ResultCache, BitFlippedFilesNeverCrashAndMostlyMiss) {
   const SimResult good = fake_result(a, 0.75);
   {
     ResultCache cache(4, dir);
-    cache.insert(a, good);
+    cache.insert(a.canonical_form(), good);
   }
   const std::string path = dir + "/" + a.key() + ".json";
   std::string intact;
@@ -221,7 +223,8 @@ TEST(ResultCache, BitFlippedFilesNeverCrashAndMostlyMiss) {
     }
     ResultCache cache(4, dir);
     std::optional<SimResult> got;
-    EXPECT_NO_THROW(got = cache.lookup(a)) << "flip at byte " << off;
+    EXPECT_NO_THROW(got = cache.lookup(a.canonical_form()))
+        << "flip at byte " << off;
     if (!got.has_value()) {
       ++misses;
     } else {
@@ -229,8 +232,8 @@ TEST(ResultCache, BitFlippedFilesNeverCrashAndMostlyMiss) {
           << "flip at byte " << off << " forged a foreign result";
     }
     // Whatever the flip did, the cache object must stay fully usable.
-    cache.insert(a, good);
-    EXPECT_TRUE(cache.lookup(a).has_value());
+    cache.insert(a.canonical_form(), good);
+    EXPECT_TRUE(cache.lookup(a.canonical_form()).has_value());
   }
   // The guarded regions dominate the file, so the vast majority of flips
   // must be detected.
@@ -243,9 +246,10 @@ TEST(ResultCache, EvictedEntriesReviveFromDisk) {
   const std::string dir = fresh_dir("revive");
   ResultCache cache(1, dir);  // capacity 1: every insert evicts
   const SimRequest a = req(0.1, 1), b = req(0.2, 1);
-  cache.insert(a, fake_result(a, 1));
-  cache.insert(b, fake_result(b, 2));  // evicts a from memory, not from disk
-  const auto hit = cache.lookup(a);
+  cache.insert(a.canonical_form(), fake_result(a, 1));
+  // evicts a from memory, not from disk
+  cache.insert(b.canonical_form(), fake_result(b, 2));
+  const auto hit = cache.lookup(a.canonical_form());
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->point.accepted, 1);
   EXPECT_EQ(cache.stats().disk_hits, 1u);

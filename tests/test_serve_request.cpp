@@ -142,6 +142,29 @@ TEST(SimRequest, KeyIsSixteenLowercaseHexDigits) {
   }
 }
 
+TEST(SimRequest, CanonicalBytesAndKeyArePinned) {
+  // Disk caches written by earlier builds stay valid only while these bytes
+  // and this key do not move (kResultVersion is bumped on purpose, never as
+  // a side effect of how a double is printed).
+  const SimRequest req = parse(
+      R"({"topology":"TopH","lambda":0.12000000000000001,"p_local":0.25,)"
+      R"("seed":7})");
+  EXPECT_EQ(req.canonical(),
+            R"({"topology":{"name":"TopH","params":{}},)"
+            R"("memory":{"name":"tcdm","params":{}},"scrambling":true,)"
+            R"("num_tiles":64,"cores_per_tile":4,"banks_per_tile":16,)"
+            R"("bank_bytes":1024,"seq_region_bytes":4096,"num_groups":4,)"
+            R"("lambda":0.12000000000000001,"p_local":0.25,"seed":7,)"
+            R"("warmup_cycles":1000,"measure_cycles":4000,)"
+            R"("drain_cycles":2000,"stall_horizon":0})");
+  EXPECT_EQ(req.key(), "b6a2f4d64389f1db");
+
+  const CanonicalForm form = req.canonical_form();
+  EXPECT_EQ(form.text, req.canonical());
+  EXPECT_EQ(form.hash, 0xb6a2f4d64389f1dbull);
+  EXPECT_EQ(form.key, "b6a2f4d64389f1db");
+}
+
 TEST(SimResult, JsonRoundTripIsBitExact) {
   SimResult r;
   r.request_key = "00ff00ff00ff00ff";
